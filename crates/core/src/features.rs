@@ -23,6 +23,20 @@ pub struct ContextProperties {
     pub optional: Vec<PropertyValue>,
 }
 
+impl ContextProperties {
+    /// The property in position `k` of a model with `essential` essential
+    /// positions (essential first, then optional), or `None` for a position
+    /// this context leaves empty — limited knowledge is allowed (§III-C),
+    /// and the model encodes an empty position as a zero vector.
+    pub(crate) fn slot(&self, essential: usize, k: usize) -> Option<&PropertyValue> {
+        if k < essential {
+            self.essential.get(k)
+        } else {
+            self.optional.get(k - essential)
+        }
+    }
+}
+
 /// Extracts the paper's property assignment from a [`JobContext`].
 pub fn context_properties(ctx: &JobContext) -> ContextProperties {
     ContextProperties {

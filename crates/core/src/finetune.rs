@@ -127,9 +127,13 @@ pub fn fine_tune(
 
     // Fine-tuning is full-batch: assemble the tensors once, then replay the
     // graph through a recycled arena and gradient workspace every epoch —
-    // the steady-state epoch allocates nothing.
+    // the steady-state epoch allocates nothing. `g` and `h` stay frozen for
+    // the whole run, so the context stage runs once, here: each epoch's
+    // tape holds only the constant context codes, `f`, the concatenation,
+    // `z` and the Huber loss (no decoder, no reconstruction term — Table I).
     let batch = model.make_batch(&encoded, &indices);
     let mut arena = GraphArena::default();
+    let context_codes = model.context_codes(&batch, &mut arena);
     let mut ws = GradWorkspace::new();
     let mut preds = vec![0.0; encoded.len()];
 
@@ -141,11 +145,8 @@ pub fn fine_tune(
         opt.set_lr(schedule.lr_at(epoch));
 
         let mut graph = Graph::from_arena(arena, model.params());
-        // Fine-tuning minimizes the Huber objective only (no reconstruction
-        // term, Table I), so the prediction-only forward applies: the
-        // decoder would be dead weight in both the forward pass and the
-        // tape.
-        let pred = model.forward_predict(&mut graph, &batch.sx, &batch.props, batch.batch);
+        let ctx = graph.input_ref(&context_codes);
+        let pred = model.regression_stage(&mut graph, &batch.sx, ctx);
         let loss = graph.tape.huber_loss(pred, &batch.targets_scaled, delta);
 
         // Track the *current* parameters' error before stepping, so the

@@ -212,6 +212,10 @@ pub enum HubError {
     /// Pre-training or fine-tuning for this key diverged to non-finite
     /// parameters; nothing was registered.
     Diverged(String),
+    /// Training was requested on no samples: pre-training needs a
+    /// non-empty corpus, fine-tuning at least one observed run of the
+    /// context. Nothing was trained or registered.
+    NoSamples(String),
     /// Reading or writing the on-disk registry failed.
     Checkpoint(CheckpointError),
     /// The on-disk checkpoint for this key was corrupt and has been
@@ -234,6 +238,7 @@ impl std::fmt::Display for HubError {
             HubError::UnknownModel(id) => write!(f, "no model registered under key {id}"),
             HubError::Unfitted(id) => write!(f, "checkpoint {id} holds an unfitted model"),
             HubError::Diverged(id) => write!(f, "training for key {id} diverged"),
+            HubError::NoSamples(id) => write!(f, "no training samples for key {id}"),
             HubError::Checkpoint(e) => write!(f, "registry checkpoint error: {e}"),
             HubError::Corrupt { id, source } => write!(
                 f,
@@ -790,6 +795,7 @@ impl ModelHub {
     /// Training is deterministic in `(key.config(), cfg, seed, samples)`:
     /// the trained model is bit-identical to a hand-wired
     /// `Bellamy::new(config, seed)` + [`pretrain`] with the same arguments.
+    /// An empty corpus is [`HubError::NoSamples`].
     pub fn recall_or_pretrain(
         &self,
         key: &ModelKey,
@@ -831,6 +837,12 @@ impl ModelHub {
         }
 
         let corpus = samples();
+        if corpus.is_empty() {
+            // Like an unreadable checkpoint, this must not leave a guard
+            // entry behind.
+            self.clear_miss_guard(key);
+            return Err(HubError::NoSamples(key.id().to_string()));
+        }
         let mut model = Bellamy::new(key.config().clone(), seed);
         let report = pretrain(&mut model, &corpus, cfg, seed);
         if report.diverged {
@@ -855,7 +867,8 @@ impl ModelHub {
     ///
     /// The returned snapshot's predictions are bit-identical to a
     /// hand-wired [`Bellamy::from_state`] + [`fine_tune`] with the same
-    /// arguments.
+    /// arguments. Empty `samples` are [`HubError::NoSamples`], before any
+    /// recall or training.
     pub fn fine_tuned_for(
         &self,
         key: &ModelKey,
@@ -866,6 +879,9 @@ impl ModelHub {
         seed: u64,
     ) -> Result<Arc<ModelState>, HubError> {
         let parent_id = key.id().to_string();
+        if samples.is_empty() {
+            return Err(HubError::NoSamples(parent_id));
+        }
         let fingerprint = finetune_fingerprint(samples, cfg, strategy, seed);
         {
             let mut lru = self.finetuned.lock();

@@ -14,11 +14,11 @@ use crate::state::ModelState;
 use bellamy_autograd::{Activation, NodeId};
 use bellamy_encoding::{MinMaxScaler, PropertyEncoder, PropertyValue};
 use bellamy_linalg::{BufferPool, Matrix};
-use bellamy_nn::{AlphaDropout, Checkpoint, CheckpointError, Graph, Linear, ParamSet};
+use bellamy_nn::{AlphaDropout, Checkpoint, CheckpointError, Graph, GraphArena, Linear, ParamSet};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -87,6 +87,48 @@ impl BatchTensors {
     }
 }
 
+/// Property positions (`m + n`) the allocation-free forward pass supports.
+const MAX_PROPS: usize = 30;
+
+/// A batch's context code on the tape: the `m` essential codes and the mean
+/// optional code (Eq. 5/6) as separate nodes, which the head concatenates
+/// after `e` in one pass — or a single node holding them side by side (a
+/// constant input of a code computed earlier).
+#[derive(Clone, Copy)]
+pub(crate) struct ContextCode {
+    parts: [NodeId; MAX_PROPS + 1],
+    len: usize,
+}
+
+impl ContextCode {
+    /// A code held in one `batch x (m + 1)·M` node.
+    pub fn from_node(node: NodeId) -> Self {
+        let mut parts = [0; MAX_PROPS + 1];
+        parts[0] = node;
+        Self { parts, len: 1 }
+    }
+
+    /// Columns of a context code: `(m + 1)·M`.
+    pub fn width(config: &BellamyConfig) -> usize {
+        (config.essential_props + 1) * config.code_dim
+    }
+
+    fn parts(&self) -> &[NodeId] {
+        &self.parts[..self.len]
+    }
+
+    /// Writes row `row` of the code, its parts side by side, into `out`
+    /// ([`ContextCode::width`] wide).
+    pub fn copy_row(&self, g: &Graph<'_>, row: usize, out: &mut [f64]) {
+        let mut offset = 0;
+        for &part in self.parts() {
+            let src = g.value(part).row(row);
+            out[offset..offset + src.len()].copy_from_slice(src);
+            offset += src.len();
+        }
+    }
+}
+
 /// Output node handles from one forward pass.
 pub(crate) struct ForwardOut {
     /// `batch x 1` prediction in scaled-target units.
@@ -100,6 +142,14 @@ pub(crate) struct ForwardOut {
 /// values, so the trainer handle and every published [`ModelState`] share
 /// one `Layers` (handles stay valid because snapshots clone the parameter
 /// set with an identical layout).
+///
+/// Prediction is two stages: the [context stage](Layers::context_stage)
+/// turns a context's properties into codes that do not depend on the
+/// scale-out, and the [regression stage](Layers::regression_stage) maps
+/// scale-out features plus those codes to a runtime.
+/// [`Layers::forward_predict`] composes them; callers that hold a context
+/// fixed run the first stage once. The training [`Layers::forward`] adds
+/// dropout and the decoder and shares the code combination and the head.
 #[derive(Debug, Clone)]
 pub(crate) struct Layers {
     pub f1: Linear,
@@ -191,8 +241,10 @@ impl Layers {
     /// The shared auto-encoder runs **once** over the property-stacked
     /// matrix (`(m+n)·batch x N`); per-property codes are recovered with row
     /// slices, and the stacked reconstruction MSE equals the mean of the
-    /// per-property MSEs because all blocks have identical size. The pass
-    /// allocates nothing once the graph's arena is warm.
+    /// per-property MSEs because all blocks have identical size. The codes
+    /// are combined and regressed by the same helpers the two prediction
+    /// stages use. The pass allocates nothing once the graph's arena is
+    /// warm.
     pub fn forward(
         &self,
         config: &BellamyConfig,
@@ -206,10 +258,7 @@ impl Layers {
         };
         let alpha_dropout = AlphaDropout::new(drop_p);
 
-        // Scale-out branch: e = f(sx).
-        let sx = g.input_ref(&batch.sx);
-        let f_hidden = self.f1.forward(g, sx);
-        let e = self.f2.forward(g, f_hidden);
+        let e = self.scale_out_branch(g, &batch.sx);
 
         // Property branch: the shared auto-encoder over all properties at
         // once.
@@ -227,52 +276,44 @@ impl Layers {
         let recon_out = self.h2.forward(g, dec_hidden);
         let recon = g.tape.mse_loss(recon_out, &batch.props);
 
-        let pred = self.combine_and_regress(config, g, e, codes, batch.batch);
+        let ctx = Self::combine_stacked_codes(config, g, codes, batch.batch);
+        let pred = self.head(g, e, ctx);
         ForwardOut { pred, recon }
     }
 
-    /// `r = e ⊕ essential codes ⊕ mean(optional codes)` (Eq. 5/6) followed
-    /// by the regression head `z`: codes are split back out of the stacked
-    /// auto-encoder output by row blocks, and fixed stack buffers keep the
-    /// hot path allocation-free.
-    fn combine_and_regress(
+    /// The **context stage** of prediction: the encoder `g` over a
+    /// `(m + n)·batch x N` stacked property matrix, then
+    /// `essential codes ⊕ mean(optional codes)` (Eq. 5/6) — a
+    /// `batch x (m + 1)·M` code. Nothing here depends on the scale-out, and
+    /// fine-tuning never updates `g`, so callers that hold one context
+    /// fixed run this once and reuse the code row: the scale-out sweep for
+    /// all its candidates, fine-tuning for all its epochs.
+    pub fn context_stage(
         &self,
         config: &BellamyConfig,
         g: &mut Graph<'_>,
-        e: NodeId,
-        codes: NodeId,
-        b: usize,
-    ) -> NodeId {
-        let m = config.essential_props;
-        let n_props = m + config.optional_props;
-        const MAX_PROPS: usize = 30;
-        assert!(
-            n_props <= MAX_PROPS,
-            "more properties than the forward pass supports"
-        );
-        let mut parts = [0 as NodeId; MAX_PROPS + 2];
-        parts[0] = e;
-        for k in 0..m {
-            parts[1 + k] = g.tape.slice_rows(codes, k * b, (k + 1) * b);
-        }
-        let mut optional = [0 as NodeId; MAX_PROPS];
-        for (j, k) in (m..n_props).enumerate() {
-            optional[j] = g.tape.slice_rows(codes, k * b, (k + 1) * b);
-        }
-        let optional_mean = g.tape.mean_of_nodes(&optional[..n_props - m]);
-        parts[m + 1] = optional_mean;
-        let r = g.tape.concat_cols(&parts[..m + 2]);
-
-        let z_hidden = self.z1.forward(g, r);
-        self.z2.forward(g, z_hidden)
+        props: &Matrix,
+        batch: usize,
+    ) -> ContextCode {
+        let codes = self.encode_code(g, props);
+        Self::combine_stacked_codes(config, g, codes, batch)
     }
 
-    /// The prediction-only forward pass: scale-out branch, encoder, code
-    /// combination, and regression head — **no decoder and no
-    /// reconstruction loss**, which exist only for the training objective.
-    /// `sx` is `batch x 3` (normalized scale-out features) and `props` is
-    /// the `(m + n)·batch x N` stacked property-encoding matrix. Every op
-    /// here is row-independent, so batched and single-query results agree
+    /// The **regression stage** of prediction: the scale-out branch `f` on
+    /// the `batch x 3` normalized features, concatenated with the context
+    /// code (from [`Layers::context_stage`], or a constant input holding
+    /// its value), then the regression head `z`.
+    pub fn regression_stage(&self, g: &mut Graph<'_>, sx: &Matrix, ctx: ContextCode) -> NodeId {
+        let e = self.scale_out_branch(g, sx);
+        self.head(g, e, ctx)
+    }
+
+    /// The prediction-only forward pass: the context stage composed with
+    /// the regression stage — **no decoder and no reconstruction loss**,
+    /// which exist only for the training objective. `sx` is `batch x 3`
+    /// (normalized scale-out features) and `props` is the
+    /// `(m + n)·batch x N` stacked property-encoding matrix. Every op here
+    /// is row-independent, so batched and single-query results agree
     /// bit-for-bit. Allocation-free once the graph's arena is warm.
     pub fn forward_predict(
         &self,
@@ -282,15 +323,8 @@ impl Layers {
         props: &Matrix,
         batch: usize,
     ) -> NodeId {
-        let sx = g.input_ref(sx);
-        let f_hidden = self.f1.forward(g, sx);
-        let e = self.f2.forward(g, f_hidden);
-
-        let p_node = g.input_ref(props);
-        let enc_hidden = self.g1.forward(g, p_node);
-        let codes = self.g2.forward(g, enc_hidden);
-
-        self.combine_and_regress(config, g, e, codes, batch)
+        let ctx = self.context_stage(config, g, props, batch);
+        self.regression_stage(g, sx, ctx)
     }
 
     /// Encoder-only pass over a `rows x N` property matrix, returning the
@@ -299,6 +333,58 @@ impl Layers {
         let p = g.input_ref(props);
         let hidden = self.g1.forward(g, p);
         self.g2.forward(g, hidden)
+    }
+
+    /// `e = f(sx)`: the scale-out branch.
+    fn scale_out_branch(&self, g: &mut Graph<'_>, sx: &Matrix) -> NodeId {
+        let sx = g.input_ref(sx);
+        let hidden = self.f1.forward(g, sx);
+        self.f2.forward(g, hidden)
+    }
+
+    /// Splits the stacked `(m + n)·b`-row code node back into per-property
+    /// row blocks and combines them ([`Layers::combine_codes`]); fixed stack
+    /// buffers keep the hot path allocation-free.
+    fn combine_stacked_codes(
+        config: &BellamyConfig,
+        g: &mut Graph<'_>,
+        codes: NodeId,
+        b: usize,
+    ) -> ContextCode {
+        let n_props = config.essential_props + config.optional_props;
+        assert!(
+            n_props <= MAX_PROPS,
+            "more properties than the forward pass supports"
+        );
+        let mut blocks = [0 as NodeId; MAX_PROPS];
+        for (k, block) in blocks[..n_props].iter_mut().enumerate() {
+            *block = g.tape.slice_rows(codes, k * b, (k + 1) * b);
+        }
+        Self::combine_codes(g, &blocks[..n_props], config.essential_props)
+    }
+
+    /// `essential codes ⊕ mean(optional codes)` (Eq. 5/6) from one code
+    /// node per property position (`essential` essential ones first) — the
+    /// one place the code combination is defined.
+    fn combine_codes(g: &mut Graph<'_>, codes: &[NodeId], essential: usize) -> ContextCode {
+        let mut parts = [0 as NodeId; MAX_PROPS + 1];
+        parts[..essential].copy_from_slice(&codes[..essential]);
+        parts[essential] = g.tape.mean_of_nodes(&codes[essential..]);
+        ContextCode {
+            parts,
+            len: essential + 1,
+        }
+    }
+
+    /// `r = e ⊕ context code` (one concatenation) followed by the
+    /// regression head `z`.
+    fn head(&self, g: &mut Graph<'_>, e: NodeId, ctx: ContextCode) -> NodeId {
+        let mut parts = [0 as NodeId; MAX_PROPS + 2];
+        parts[0] = e;
+        parts[1..=ctx.len].copy_from_slice(ctx.parts());
+        let r = g.tape.concat_cols(&parts[..=ctx.len]);
+        let z_hidden = self.z1.forward(g, r);
+        self.z2.forward(g, z_hidden)
     }
 
     /// The seed implementation's forward pass: one auto-encoder application
@@ -356,15 +442,8 @@ impl Layers {
             recon_losses.push(g.tape.mse_loss(recon, &p));
         }
 
-        let m = config.essential_props;
-        let mut parts = vec![e];
-        parts.extend_from_slice(&codes[..m]);
-        let optional_mean = g.tape.mean_of_nodes(&codes[m..]);
-        parts.push(optional_mean);
-        let r = g.tape.concat_cols(&parts);
-
-        let z_hidden = self.z1.forward(g, r);
-        let pred = self.z2.forward(g, z_hidden);
+        let ctx = Self::combine_codes(g, &codes, config.essential_props);
+        let pred = self.head(g, e, ctx);
 
         let mut recon = recon_losses[0];
         for &l in &recon_losses[1..] {
@@ -533,7 +612,9 @@ impl Bellamy {
         };
     }
 
-    /// Encodes samples with the fitted scaler.
+    /// Encodes samples with the fitted scaler. Each distinct property value
+    /// is encoded once per call, not once per sample: the samples of one
+    /// job (often all of them) share a context.
     ///
     /// # Panics
     /// Panics if the model has not been fitted.
@@ -542,11 +623,12 @@ impl Bellamy {
             .scaler
             .as_ref()
             .expect("model must be fitted before encoding");
+        let mut memo = HashMap::new();
         samples
             .iter()
             .map(|s| {
                 let sx = scaler.transform(&scale_out_features(s.scale_out));
-                let props = self.encode_property_vectors(&s.props);
+                let props = self.encode_property_vectors(&s.props, &mut memo);
                 EncodedSample {
                     sx: [sx[0], sx[1], sx[2]],
                     props,
@@ -559,25 +641,24 @@ impl Bellamy {
     /// Encodes the `m` essential + `n` optional properties, padding or
     /// truncating to the configured counts (limited knowledge is allowed —
     /// §III-C): any missing slot, essential or optional, becomes a zero
-    /// vector. [`crate::Predictor`]'s batch assembly mirrors this rule
-    /// exactly — keep them in lockstep or batched and encoded predictions
-    /// drift apart.
-    fn encode_property_vectors(&self, props: &ContextProperties) -> Vec<Vec<f64>> {
-        let n_dim = self.config.property_dim;
-        let mut out = Vec::with_capacity(self.config.essential_props + self.config.optional_props);
-        for i in 0..self.config.essential_props {
-            match props.essential.get(i) {
-                Some(p) => out.push(self.encoder.encode(p)),
-                None => out.push(vec![0.0; n_dim]),
-            }
-        }
-        for i in 0..self.config.optional_props {
-            match props.optional.get(i) {
-                Some(p) => out.push(self.encoder.encode(p)),
-                None => out.push(vec![0.0; n_dim]),
-            }
-        }
-        out
+    /// vector. [`crate::Predictor`]'s batch assembly follows the same rule
+    /// through [`ContextProperties::slot`], so batched and encoded
+    /// predictions agree. `memo` holds the encodings already computed.
+    fn encode_property_vectors<'a>(
+        &self,
+        props: &'a ContextProperties,
+        memo: &mut HashMap<&'a PropertyValue, Vec<f64>>,
+    ) -> Vec<Vec<f64>> {
+        let m = self.config.essential_props;
+        (0..m + self.config.optional_props)
+            .map(|k| match props.slot(m, k) {
+                Some(p) => memo
+                    .entry(p)
+                    .or_insert_with(|| self.encoder.encode(p))
+                    .clone(),
+                None => vec![0.0; self.config.property_dim],
+            })
+            .collect()
     }
 
     /// Assembles a batch from encoded samples (gathered by `indices`).
@@ -637,16 +718,30 @@ impl Bellamy {
         self.layers.forward(&self.config, g, batch, dropout)
     }
 
-    /// Prediction-only forward pass (see [`Layers::forward_predict`]).
-    pub(crate) fn forward_predict(
-        &self,
-        g: &mut Graph<'_>,
-        sx: &Matrix,
-        props: &Matrix,
-        batch: usize,
-    ) -> NodeId {
+    /// The context stage ([`Layers::context_stage`]) of a batch, evaluated
+    /// once into a constant `batch x (m + 1)·M` matrix, in `arena` (which
+    /// the caller's training graph then recycles). Fine-tuning feeds it to
+    /// every epoch's regression stage: it never updates `g`, so the codes
+    /// cannot change during a run.
+    pub(crate) fn context_codes(&self, batch: &BatchTensors, arena: &mut GraphArena) -> Matrix {
+        let mut graph = Graph::from_arena(std::mem::take(arena), &self.params);
+        let ctx = self
+            .layers
+            .context_stage(&self.config, &mut graph, &batch.props, batch.batch);
+        let mut codes = Matrix::zeros(batch.batch, ContextCode::width(&self.config));
+        for i in 0..batch.batch {
+            ctx.copy_row(&graph, i, codes.row_mut(i));
+        }
+        *arena = graph.into_arena();
+        codes
+    }
+
+    /// The regression stage (see [`Layers::regression_stage`]) over a
+    /// constant context-code node, such as [`Bellamy::context_codes`]'s
+    /// matrix put on the tape.
+    pub(crate) fn regression_stage(&self, g: &mut Graph<'_>, sx: &Matrix, ctx: NodeId) -> NodeId {
         self.layers
-            .forward_predict(&self.config, g, sx, props, batch)
+            .regression_stage(g, sx, ContextCode::from_node(ctx))
     }
 
     /// Seed-style forward pass (see [`Layers::forward_legacy`]).

@@ -11,8 +11,9 @@
 //!
 //! A [`Predictor`] amortizes all of that:
 //!
-//! - **Graph arena** — one recycled [`GraphArena`]: the tape replays into
-//!   retained node storage, so the forward pass allocates nothing once warm.
+//! - **Graph arenas** — recycled [`GraphArena`]s (one for batches, one for
+//!   sweeps): the tape replays into retained node storage, so the forward
+//!   pass allocates nothing once warm.
 //! - **Shared encoding cache** — property encodings are deterministic, so
 //!   they are computed once per distinct [`PropertyValue`] *per model* and
 //!   served from the lock-sharded cache inside [`ModelState`] — one thread's
@@ -23,7 +24,16 @@
 //! - **Prediction-only forward** — the forward pass skips the decoder and
 //!   reconstruction loss entirely (they exist for the training objective
 //!   only) and runs each linear layer as one fused matmul+bias+activation
-//!   tape op.
+//!   tape op. It is two stages: the *context stage* (encoder `g` over the
+//!   stacked property rows, then essential codes ⊕ mean of optional codes)
+//!   and the *regression stage* (`f` on the scale-out features, the
+//!   concatenation, then `z`).
+//! - **Context encoded once per sweep** — a context's codes do not depend
+//!   on the scale-out, so [`Predictor::predict_sweep`] runs the context
+//!   stage once on the context's `m + n` property rows and copies the one
+//!   code row to every candidate; only the regression stage runs per
+//!   scale-out. The sweep keeps its own arena and buffers, apart from the
+//!   pool that holds the tall matrices large batches leave behind.
 //!
 //! # Lifecycle and reuse rules
 //!
@@ -44,16 +54,17 @@
 //!   overflow a shard is cleared and re-warms — correctness is never
 //!   affected, only the amortization.
 //!
-//! Batched and one-at-a-time predictions agree **bit-for-bit**: every op in
-//! the prediction path (fused linears, row slicing, concatenation, code
-//! averaging) is row-independent, so a query's result does not depend on
-//! its batch neighbors. The checkpoint/round-trip and batching tests in
-//! `crates/core/tests/predictor.rs` pin this down, and
+//! Batched, swept and one-at-a-time predictions agree **bit-for-bit**: every
+//! op in the prediction path (fused linears, row slicing, concatenation,
+//! code averaging) is row-independent, so a query's result does not depend
+//! on its batch neighbors — nor on whether its context code was computed in
+//! its own row or copied from a single one. The checkpoint/round-trip and
+//! batching tests in `crates/core/tests/predictor.rs` pin this down, and
 //! `crates/core/tests/concurrency.rs` extends the guarantee across threads
 //! hammering one shared snapshot.
 
 use crate::features::{scale_out_features, ContextProperties};
-use crate::model::EncodedSample;
+use crate::model::{ContextCode, EncodedSample};
 use crate::state::ModelState;
 use bellamy_encoding::PropertyValue;
 use bellamy_linalg::{BufferPool, Matrix};
@@ -81,8 +92,25 @@ pub struct Predictor {
     props: Matrix,
     /// Scratch row for `code_for`.
     code_input: Matrix,
+    /// [`Predictor::predict_sweep`]'s own workspace.
+    sweep: SweepWorkspace,
     /// Output buffer returned by the `predict_*` methods.
     preds: Vec<f64>,
+}
+
+/// The sweep's arena and buffers, kept apart from the batch path's, whose
+/// pool holds the tall matrices a large [`Predictor::predict_batch`] (or
+/// training-MAE scoring) leaves behind: a sweep drawing its small matrices
+/// from that pool would change which buffers stay resident.
+struct SweepWorkspace {
+    arena: GraphArena,
+    pool: BufferPool,
+    /// `b x 3` normalized scale-out features, one row per candidate.
+    sx: Matrix,
+    /// `(m + n) x N` property encodings of the swept context.
+    props: Matrix,
+    /// `b x (m + 1)·M`: the context's code row, copied to every candidate.
+    codes: Matrix,
 }
 
 impl Default for Predictor {
@@ -104,6 +132,13 @@ impl Predictor {
             sx: Matrix::zeros(0, 0),
             props: Matrix::zeros(0, 0),
             code_input: Matrix::zeros(0, 0),
+            sweep: SweepWorkspace {
+                arena: GraphArena::default(),
+                pool: BufferPool::new(),
+                sx: Matrix::zeros(0, 0),
+                props: Matrix::zeros(0, 0),
+                codes: Matrix::zeros(0, 0),
+            },
             preds: Vec::new(),
         }
     }
@@ -133,29 +168,23 @@ impl Predictor {
         for (i, q) in queries.iter().enumerate() {
             scaler.transform_into(&scale_out_features(q.scale_out), self.sx.row_mut(i));
         }
-        let (m, n_opt) = (
-            state.config().essential_props,
-            state.config().optional_props,
-        );
+        let m = state.config().essential_props;
+        let n_props = m + state.config().optional_props;
         for (i, q) in queries.iter().enumerate() {
-            for k in 0..m + n_opt {
-                // Mirror `Bellamy::encode_property_vectors`: missing slots
-                // (limited context knowledge, §III-C) become zero rows.
-                let slot = if k < m {
-                    q.props.essential.get(k)
-                } else {
-                    q.props.optional.get(k - m)
-                };
-                Self::fill_prop_row(&mut self.props, k * b + i, state, slot);
+            for k in 0..n_props {
+                Self::fill_prop_row(&mut self.props, k * b + i, state, q.props.slot(m, k));
             }
         }
         self.run_forward(state, b)
     }
 
     /// Predicted runtimes for one context swept over many scale-outs — the
-    /// §IV allocation-search shape. The context's properties are encoded
-    /// once (at most once per distinct property per model, via the shared
-    /// cache) and replicated across the batch.
+    /// §IV allocation-search shape. The context stage runs once, on the
+    /// context's `m + n` property rows (each encoded at most once per
+    /// distinct property per model, via the shared cache); its one code row
+    /// is copied to every candidate, and only the regression stage runs per
+    /// scale-out. Bit-identical to [`Predictor::predict_batch`] over the
+    /// same queries, because every prediction op is row-independent.
     pub fn predict_sweep(
         &mut self,
         state: &ModelState,
@@ -167,32 +196,41 @@ impl Predictor {
             self.preds.clear();
             return &self.preds;
         }
-        self.ensure_shapes(state, b);
+        let config = state.config();
+        let m = config.essential_props;
+        let n_props = m + config.optional_props;
+        let sweep = &mut self.sweep;
+        fit_matrix(&mut sweep.pool, &mut sweep.sx, b, 3);
+        fit_matrix(
+            &mut sweep.pool,
+            &mut sweep.props,
+            n_props,
+            config.property_dim,
+        );
         let scaler = state.scaler();
         for (i, &x) in scale_outs.iter().enumerate() {
-            scaler.transform_into(&scale_out_features(x), self.sx.row_mut(i));
+            scaler.transform_into(&scale_out_features(x), sweep.sx.row_mut(i));
         }
-        let (m, n_opt) = (
-            state.config().essential_props,
-            state.config().optional_props,
-        );
-        let n_dim = state.config().property_dim;
-        for k in 0..m + n_opt {
-            let slot = if k < m {
-                props.essential.get(k)
-            } else {
-                props.optional.get(k - m)
-            };
-            // Encode the property once into the block's first row, then
-            // replicate it down the block.
-            Self::fill_prop_row(&mut self.props, k * b, state, slot);
-            let data = self.props.as_mut_slice();
-            let base = k * b * n_dim;
-            for i in 1..b {
-                data.copy_within(base..base + n_dim, base + i * n_dim);
-            }
+        for k in 0..n_props {
+            Self::fill_prop_row(&mut sweep.props, k, state, props.slot(m, k));
         }
-        self.run_forward(state, b)
+        record_forward(b);
+
+        let mut graph = Graph::from_arena(std::mem::take(&mut sweep.arena), state.params());
+        let layers = state.layers();
+        let ctx = layers.context_stage(config, &mut graph, &sweep.props, 1);
+        let width = ContextCode::width(config);
+        fit_matrix(&mut sweep.pool, &mut sweep.codes, b, width);
+        let (first, rest) = sweep.codes.as_mut_slice().split_at_mut(width);
+        ctx.copy_row(&graph, 0, first);
+        for row in rest.chunks_exact_mut(width) {
+            row.copy_from_slice(first);
+        }
+        let codes = ContextCode::from_node(graph.input_ref(&sweep.codes));
+        let pred = layers.regression_stage(&mut graph, &sweep.sx, codes);
+        collect_preds(&mut self.preds, graph.value(pred), state.target_scale());
+        sweep.arena = graph.into_arena();
+        &self.preds
     }
 
     /// Single-query convenience over [`Predictor::predict_batch`].
@@ -231,12 +269,12 @@ impl Predictor {
     /// The latent code (length `M`) the auto-encoder assigns to one property
     /// (Fig. 4), computed through the shared arena and encoding cache.
     pub fn code_for(&mut self, state: &ModelState, property: &PropertyValue) -> Vec<f64> {
-        let n_dim = state.config().property_dim;
-        if self.code_input.shape() != (1, n_dim) {
-            let stale = std::mem::replace(&mut self.code_input, Matrix::zeros(0, 0));
-            self.pool.put_matrix(stale);
-            self.code_input = self.pool.take_matrix(1, n_dim);
-        }
+        fit_matrix(
+            &mut self.pool,
+            &mut self.code_input,
+            1,
+            state.config().property_dim,
+        );
         let code_input = &mut self.code_input;
         state.with_encoding(property, |enc| {
             code_input.row_mut(0).copy_from_slice(enc);
@@ -283,26 +321,41 @@ impl Predictor {
     /// Runs the prediction-only forward pass over the filled batch matrices
     /// and copies the rescaled outputs into the result buffer.
     fn run_forward(&mut self, state: &ModelState, b: usize) -> &[f64] {
-        // Batch-size distribution: every prediction entry point funnels
-        // through here, so two `fetch_add`s per *batch* capture the whole
-        // process (and stay off the per-row cost).
-        let global = bellamy_telemetry::global();
-        global.predict_batch_rows.record(b as u64);
-        global.predict_queries.add(b as u64);
+        record_forward(b);
         let arena = std::mem::take(&mut self.arena);
         let mut graph = Graph::from_arena(arena, state.params());
         let pred =
             state
                 .layers()
                 .forward_predict(state.config(), &mut graph, &self.sx, &self.props, b);
-        let scale = state.target_scale();
-        let values = graph.value(pred);
-        self.preds.clear();
-        self.preds.reserve(b);
-        for i in 0..b {
-            self.preds.push(values[(i, 0)] * scale);
-        }
+        collect_preds(&mut self.preds, graph.value(pred), state.target_scale());
         self.arena = graph.into_arena();
         &self.preds
+    }
+}
+
+/// Batch-size distribution: every prediction entry point records its rows
+/// here, so two `fetch_add`s per *batch* capture the whole process (and
+/// stay off the per-row cost).
+fn record_forward(rows: usize) {
+    let global = bellamy_telemetry::global();
+    global.predict_batch_rows.record(rows as u64);
+    global.predict_queries.add(rows as u64);
+}
+
+/// Refills `preds` with the `rows x 1` prediction column rescaled to
+/// seconds.
+fn collect_preds(preds: &mut Vec<f64>, values: &Matrix, scale: f64) {
+    preds.clear();
+    preds.extend(values.as_slice().iter().map(|v| v * scale));
+}
+
+/// Reshapes `m` to `rows x cols`, recycling its storage through `pool`
+/// (allocation-free once the shape has been seen).
+fn fit_matrix(pool: &mut BufferPool, m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        let stale = std::mem::replace(m, Matrix::zeros(0, 0));
+        pool.put_matrix(stale);
+        *m = pool.take_matrix(rows, cols);
     }
 }

@@ -75,24 +75,35 @@ fn batched_and_single_predictions_agree_exactly() {
 
 #[test]
 fn sweep_matches_general_batch_exactly() {
+    // The sweep encodes its context once and copies the code row to every
+    // candidate; the batch path encodes every row. Cover full and limited
+    // context knowledge (missing positions are zero rows) and sweep widths
+    // that grow, shrink and repeat.
     let (state, samples) = trained_state();
-    let props = &samples[0].props;
-    let xs: Vec<f64> = (2..=12).map(|x| x as f64).collect();
-    let queries: Vec<PredictQuery<'_>> = xs
-        .iter()
-        .map(|&x| PredictQuery {
-            scale_out: x,
-            props,
-        })
-        .collect();
-
+    let full = samples[0].props.clone();
+    let mut no_optional = full.clone();
+    no_optional.optional.clear();
+    let mut short_essential = samples[1].props.clone();
+    short_essential.essential.truncate(2);
     let mut predictor = Predictor::new();
-    let swept = predictor.predict_sweep(&state, props, &xs).to_vec();
-    let batched = predictor.predict_batch(&state, &queries).to_vec();
-    assert_eq!(swept.len(), xs.len());
-    for (i, (&s, &b)) in swept.iter().zip(batched.iter()).enumerate() {
-        assert_eq!(s.to_bits(), b.to_bits(), "x = {}", xs[i]);
-        assert!(s.is_finite());
+    for props in [&full, &no_optional, &short_essential] {
+        for hi in [12, 2, 58, 12] {
+            let xs: Vec<f64> = (2..=hi).map(|x| x as f64).collect();
+            let queries: Vec<PredictQuery<'_>> = xs
+                .iter()
+                .map(|&x| PredictQuery {
+                    scale_out: x,
+                    props,
+                })
+                .collect();
+            let swept = predictor.predict_sweep(&state, props, &xs).to_vec();
+            let batched = predictor.predict_batch(&state, &queries).to_vec();
+            assert_eq!(swept.len(), xs.len());
+            for (i, (&s, &b)) in swept.iter().zip(batched.iter()).enumerate() {
+                assert_eq!(s.to_bits(), b.to_bits(), "x = {}", xs[i]);
+                assert!(s.is_finite());
+            }
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 use bellamy_core::train::pretrain;
 use bellamy_core::{
     BatcherConfig, Bellamy, BellamyConfig, BellamyError, ContextProperties, FinetuneConfig,
-    FinetunePolicy, FlushPolicy, ModelKey, ModelState, Predictor, PretrainConfig, ReuseStrategy,
-    Service, TrainingSample,
+    FinetunePolicy, FlushPolicy, HubError, ModelKey, ModelState, Predictor, PretrainConfig,
+    ReuseStrategy, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::sync::Arc;
@@ -310,4 +310,55 @@ fn unified_error_type_spans_the_layers() {
     let unfitted = Bellamy::new(BellamyConfig::default(), 0);
     let err: BellamyError = unfitted.snapshot().unwrap_err().into();
     assert!(matches!(err, BellamyError::Predict(_)));
+}
+
+#[test]
+fn finetuning_on_no_samples_is_a_typed_error() {
+    let service = Service::in_memory();
+    let key = ModelKey::new("grep", "no-samples-finetune", &BellamyConfig::default());
+    let quick = PretrainConfig {
+        epochs: 2,
+        ..PretrainConfig::default()
+    };
+    service
+        .client_or_pretrain(&key, &quick, 3, corpus)
+        .expect("pretrain on miss");
+    let Err(err) = service.finetuned_client(&key, "empty-ctx", &[]) else {
+        panic!("no samples must not fine-tune");
+    };
+    assert!(
+        matches!(&err, BellamyError::Hub(HubError::NoSamples(id)) if id == key.id()),
+        "{err}"
+    );
+    assert!(err.to_string().contains("no training samples"));
+    assert_eq!(service.hub().stats().finetunes, 0, "nothing was trained");
+    // The service stays usable: a real request still fine-tunes.
+    service
+        .finetuned_client(&key, "ctx", &corpus()[..3])
+        .expect("fine-tune");
+    assert_eq!(service.hub().stats().finetunes, 1);
+}
+
+#[test]
+fn pretraining_on_an_empty_corpus_is_a_typed_error() {
+    let service = Service::in_memory();
+    let key = ModelKey::new("grep", "no-samples-pretrain", &BellamyConfig::default());
+    let quick = PretrainConfig {
+        epochs: 2,
+        ..PretrainConfig::default()
+    };
+    let Err(err) = service.client_or_pretrain(&key, &quick, 3, Vec::new) else {
+        panic!("an empty corpus must not pretrain");
+    };
+    assert!(
+        matches!(&err, BellamyError::Hub(HubError::NoSamples(id)) if id == key.id()),
+        "{err}"
+    );
+    assert_eq!(service.stats().pretrains, 0, "nothing was trained");
+    // Nothing was registered, and a retry with data trains the key.
+    assert!(service.client(&key).is_err());
+    service
+        .client_or_pretrain(&key, &quick, 3, corpus)
+        .expect("pretrain with data");
+    assert_eq!(service.stats().pretrains, 1);
 }

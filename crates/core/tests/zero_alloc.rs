@@ -8,36 +8,88 @@
 //! worker team parks persistent jobs, so fanning a step out is signalling
 //! only). Likewise, once a `Predictor` has seen a batch shape and the
 //! context's property encodings, further `predict_batch`/`predict_sweep`/
-//! single-`predict` calls must not allocate. The telemetry instrumentation
-//! added to these paths (counters, log₂ latency histograms) is always on,
-//! so every window below also proves the record path allocation-free.
+//! single-`predict` calls must not allocate, and neither must a
+//! fine-tuning epoch. The telemetry instrumentation added to these paths
+//! (counters, log₂ latency histograms) is always on, so every window below
+//! also proves the record path allocation-free.
+//!
+//! The counter is process-global, so the tests run one at a time
+//! ([`serial`]), and it counts only the threads a test exercises: the test
+//! thread holding the serial lock and the library's own threads (all named
+//! `bellamy-*`: worker-team helpers, the serving loop). The harness runs
+//! beside every window — libtest's main thread spawns the next test when
+//! one finishes, and the new thread allocates while it starts — and those
+//! allocations are not the library's.
 
+use bellamy_core::finetune::fine_tune;
 use bellamy_core::train::Pretrainer;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FlushPolicy, ModelHub, ModelKey,
-    ModelState, PredictQuery, Predictor, PretrainConfig, RecallMode, Service, TrainingSample,
+    BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FinetuneConfig, FlushPolicy,
+    ModelHub, ModelKey, ModelState, PredictQuery, Predictor, PretrainConfig, RecallMode,
+    ReuseStrategy, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread holds the serial lock.
+    static HOLDS_SERIAL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether an allocation on the calling thread counts (see the module
+/// docs). Allocation-free: a const thread-local and one `prctl` call.
+fn counted() -> bool {
+    HOLDS_SERIAL.try_with(Cell::get).unwrap_or(false) || on_library_thread()
+}
+
+/// True on a thread the library named `bellamy-*`. Reads the kernel's
+/// thread name, because asking `std::thread` from inside an allocator can
+/// allocate (and re-enter it).
+#[cfg(target_os = "linux")]
+fn on_library_thread() -> bool {
+    extern "C" {
+        fn prctl(option: i32, ...) -> i32;
+    }
+    const PR_GET_NAME: i32 = 16;
+    let mut name = [0u8; 16];
+    // SAFETY: PR_GET_NAME writes at most 16 bytes, NUL included, into the
+    // 16-byte buffer it is given.
+    let ok = unsafe { prctl(PR_GET_NAME, name.as_mut_ptr()) } == 0;
+    ok && name.starts_with(b"bellamy-")
+}
+
+/// Without a portable way to name threads here, count them all.
+#[cfg(not(target_os = "linux"))]
+fn on_library_thread() -> bool {
+    true
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -48,6 +100,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The serial lock, held by each test for its whole body; while held, the
+/// holder's allocations count.
+struct Serial {
+    _guard: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        HOLDS_SERIAL.with(|h| h.set(false));
+    }
+}
+
+fn serial() -> Serial {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    HOLDS_SERIAL.with(|h| h.set(true));
+    Serial { _guard: guard }
+}
 
 /// A small deterministic training set; built by hand so the test does not
 /// depend on the (allocation-heavy) trace generators.
@@ -93,6 +164,7 @@ fn allocations_during_epochs(cfg: &PretrainConfig, n_samples: usize, warmup: usi
 
 #[test]
 fn steady_state_step_is_allocation_free_sequential() {
+    let _serial = serial();
     let cfg = PretrainConfig {
         epochs: 0,
         batch_size: 8,
@@ -110,6 +182,7 @@ fn steady_state_step_is_allocation_free_sequential() {
 
 #[test]
 fn steady_state_step_is_allocation_free_with_ragged_tail_batch() {
+    let _serial = serial();
     let cfg = PretrainConfig {
         epochs: 0,
         batch_size: 8,
@@ -128,6 +201,7 @@ fn steady_state_step_is_allocation_free_with_ragged_tail_batch() {
 
 #[test]
 fn steady_state_step_is_allocation_free_data_parallel() {
+    let _serial = serial();
     let cfg = PretrainConfig {
         epochs: 0,
         batch_size: 8,
@@ -139,6 +213,40 @@ fn steady_state_step_is_allocation_free_data_parallel() {
     assert_eq!(
         allocs, 0,
         "the worker-team fan-out must be signalling-only in steady state"
+    );
+}
+
+#[test]
+fn finetune_epochs_are_allocation_free() {
+    let _serial = serial();
+    // Fine-tuning assembles its batch, its context codes and its arena
+    // once; each epoch then replays the same tape. With an unreachable MAE
+    // target and unbounded patience every run trains exactly its epoch
+    // cap, so a run capped at 4N epochs may allocate no more than one
+    // capped at N. N = 25 puts `f`'s unfreeze (epoch 63 for 4 samples)
+    // inside the longer run only.
+    let (state, samples) = fitted_state_and_samples();
+    let few = &samples[..4];
+    let allocations_for = |epochs: usize| {
+        let cfg = FinetuneConfig {
+            max_epochs: epochs,
+            target_mae: -1.0,
+            patience: usize::MAX,
+            ..FinetuneConfig::default()
+        };
+        let mut handle = Bellamy::from_state(&state);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let report = fine_tune(&mut handle, few, &cfg, ReuseStrategy::PartialUnfreeze, 1);
+        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert_eq!(report.epochs, epochs, "the cap must stop every run");
+        allocs
+    };
+    allocations_for(25); // warm-up: lazily initialized process statics
+    let short = allocations_for(25);
+    let long = allocations_for(100);
+    assert_eq!(
+        long, short,
+        "fine-tuning epochs beyond the first must not allocate"
     );
 }
 
@@ -155,6 +263,7 @@ fn fitted_state_and_samples() -> (std::sync::Arc<ModelState>, Vec<TrainingSample
 
 #[test]
 fn steady_state_batched_predict_is_allocation_free() {
+    let _serial = serial();
     let (state, samples) = fitted_state_and_samples();
     let queries: Vec<PredictQuery<'_>> = samples
         .iter()
@@ -179,6 +288,7 @@ fn steady_state_batched_predict_is_allocation_free() {
 
 #[test]
 fn steady_state_sweep_and_single_predict_are_allocation_free() {
+    let _serial = serial();
     let (state, samples) = fitted_state_and_samples();
     let props = samples[0].props.clone();
     let xs: Vec<f64> = (2..=12).map(|x| x as f64).collect();
@@ -211,6 +321,7 @@ fn steady_state_sweep_and_single_predict_are_allocation_free() {
 
 #[test]
 fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
+    let _serial = serial();
     // Weights recalled through the mmap path live in borrowed storage, not
     // an owned buffer — the kernels must not care. After warm-up, batched
     // prediction over a *mapped* state must be exactly as allocation-free
@@ -257,6 +368,7 @@ fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
 
 #[test]
 fn steady_state_micro_batched_submit_is_allocation_free() {
+    let _serial = serial();
     // The serve front door's single-query path: submit into the pending
     // ring (preallocated), park on a stack slot, serving loop flushes
     // through a warm predictor, result lands back in the slot. After the
@@ -300,6 +412,7 @@ fn steady_state_micro_batched_submit_is_allocation_free() {
 
 #[test]
 fn steady_state_instrumented_memory_recall_is_allocation_free() {
+    let _serial = serial();
     // Hub recalls are instrumented (telemetry counters on every path, a
     // latency histogram on disk recalls). The memory-hit path — the one
     // serving loops lean on per request — must stay allocation-free: a
@@ -314,23 +427,12 @@ fn steady_state_instrumented_memory_recall_is_allocation_free() {
     for _ in 0..2 {
         hub.recall(&key).unwrap();
     }
-    // The counter is process-global, so the window can overlap sibling
-    // tests' allocation-heavy setup; an allocating recall would allocate
-    // in *every* window, so one quiet window is proof (same pattern as the
-    // fast-tier kernel test).
-    let mut allocs = u64::MAX;
-    for _ in 0..50 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..10 {
-            let state = hub.recall(&key).expect("registered key");
-            drop(state);
-        }
-        allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if allocs == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..10 {
+        let state = hub.recall(&key).expect("registered key");
+        drop(state);
     }
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocs, 0,
         "instrumented steady-state memory recall must not allocate"
@@ -343,6 +445,7 @@ fn steady_state_instrumented_memory_recall_is_allocation_free() {
 
 #[test]
 fn kernel_dispatch_is_allocation_free_in_steady_state() {
+    let _serial = serial();
     // The SIMD dispatch layer resolves the kernel table once (a `OnceLock`
     // the first call may initialize — that's warm-up); after that, routing
     // every matrix operation through the table must not touch the
@@ -380,6 +483,7 @@ fn kernel_dispatch_is_allocation_free_in_steady_state() {
 
 #[test]
 fn fast_tier_kernels_are_allocation_free_in_steady_state() {
+    let _serial = serial();
     // The Fast (FMA) table must inherit the zero-allocation property of the
     // Exact tiers: tier selection changes rounding, never memory behavior.
     // The table is driven directly (dispatch is process-wide and this
@@ -405,38 +509,26 @@ fn fast_tier_kernels_are_allocation_free_in_steady_state() {
     // feature detection inside `fma()` has already run above).
     fast.matmul(&a, &b, &mut out, m, k, n);
 
-    // The counter is process-global and this test has no slow setup phase,
-    // so its measurement window can overlap the allocation-heavy setup of
-    // sibling tests running in parallel. A kernel that allocates does so
-    // on *every* call, so retry the window a few times: one quiet window
-    // proves the kernels clean, persistent counts across all windows would
-    // still fail loudly.
-    let mut allocs = u64::MAX;
-    for _ in 0..50 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..10 {
-            fast.matmul(&a, &b, &mut out, m, k, n);
-            fast.matmul_tb(&a, &bt, &mut out, m, k, n);
-            fast.ta_matmul(&at, &b, &mut out, k, m, n);
-            fast.matmul_bias_rowapply(&a, &b, Some(&bias), &mut out, m, k, n, &mut |row| {
-                for v in row.iter_mut() {
-                    *v *= 0.5;
-                }
-            });
-            fast.axpy(1.25, &out, &mut y);
-            fast.add(&out, &y, &mut sum); // shared Exact elementwise entry
-        }
-        allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        if allocs == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..10 {
+        fast.matmul(&a, &b, &mut out, m, k, n);
+        fast.matmul_tb(&a, &bt, &mut out, m, k, n);
+        fast.ta_matmul(&at, &b, &mut out, k, m, n);
+        fast.matmul_bias_rowapply(&a, &b, Some(&bias), &mut out, m, k, n, &mut |row| {
+            for v in row.iter_mut() {
+                *v *= 0.5;
+            }
+        });
+        fast.axpy(1.25, &out, &mut y);
+        fast.add(&out, &y, &mut sum); // shared Exact elementwise entry
     }
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(allocs, 0, "Fast-tier kernels allocated in steady state");
 }
 
 #[test]
 fn steady_state_shared_cache_predict_is_allocation_free_and_bounded() {
+    let _serial = serial();
     // The encoding memo moved out of the per-thread predictor into the
     // lock-sharded cache inside `ModelState`. The steady-state hit path
     // (read lock + copy) must stay allocation-free, the cache must not

@@ -40,6 +40,8 @@ struct TeamState {
     /// Set when a task closure panicked on a worker; rethrown by `run`.
     panicked: bool,
     shutdown: bool,
+    /// Helpers that have entered their loop (see [`WorkTeam::new`]).
+    started: usize,
 }
 
 struct Shared {
@@ -60,6 +62,12 @@ pub struct WorkTeam {
 impl WorkTeam {
     /// Creates a team of `threads` workers (the calling thread counts as
     /// one; `threads - 1` helpers park on a dedicated pool).
+    ///
+    /// Returns only once every helper is running. A thread allocates while
+    /// it starts (the standard library copies its name for the
+    /// stack-overflow handler), and on a loaded host a helper can start
+    /// long after its first `run` calls were served by the calling thread
+    /// alone; waiting here keeps that allocation out of `run`.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -73,6 +81,11 @@ impl WorkTeam {
                 let shared = Arc::clone(&shared);
                 pool.execute(move || helper_loop(&shared));
             }
+            let mut state = shared.state.lock();
+            while state.started < threads - 1 {
+                shared.done.wait(&mut state);
+            }
+            drop(state);
             pool
         });
         Self {
@@ -185,6 +198,8 @@ fn work_current_task(shared: &Shared) {
 /// The persistent helper job: sleep until a new generation is published,
 /// help drain it, repeat until shutdown.
 fn helper_loop(shared: &Shared) {
+    shared.state.lock().started += 1;
+    shared.done.notify_all();
     let mut seen_generation = 0u64;
     loop {
         {
@@ -220,6 +235,15 @@ mod tests {
             });
         }
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 50));
+    }
+
+    #[test]
+    fn new_returns_once_every_helper_runs() {
+        // A helper still starting when `run` is first called would
+        // allocate (thread start-up) inside a supposedly allocation-free
+        // step; `new` must have waited for all of them.
+        let team = WorkTeam::new(3);
+        assert_eq!(team.shared.state.lock().started, 2);
     }
 
     #[test]
