@@ -1,6 +1,6 @@
 //! Serving-path benchmark: direct per-thread-predictor single queries
-//! against the `Service` front door's micro-batched single queries, plus
-//! the batched client entry point. The multi-thread snapshot equivalent is
+//! against the same single queries through a `Service` client, plus the
+//! batched client entry point. The multi-thread snapshot equivalent is
 //! recorded in `BENCH_serve.json` by `bench_snapshot`.
 
 use bellamy_core::{Predictor, Service};
@@ -19,12 +19,12 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| black_box(predictor.predict_one(&w.state, 6.0, &w.props)))
     });
 
-    // The front door: same single query through submit → serving loop →
-    // batched forward → slot delivery.
+    // The front door: the same single query on this thread's predictor,
+    // behind the client's counters and `catch_unwind`.
     let service = Service::builder().build().expect("in-memory service");
     let client = service.client_for_state(Arc::clone(&w.state));
-    group.bench_function("microbatched_single_query", |b| {
-        b.iter(|| black_box(client.predict(6.0, &w.props).expect("service is live")))
+    group.bench_function("client_single_query", |b| {
+        b.iter(|| black_box(client.predict(6.0, &w.props).expect("no panic")))
     });
 
     // The batched client entry point on the standard 64-query sweep.

@@ -20,8 +20,8 @@
 //! shared-snapshot predict throughput at 1/2/4 threads.
 //!
 //! Serve: per-query latency and queries/s of single-query serving at
-//! 1/2/4 submitting threads — direct per-thread predictor vs the
-//! `Service` front door's cross-caller micro-batcher.
+//! 1/2/4 calling threads — a bare per-thread predictor vs the `Service`
+//! client.
 
 use bellamy_linalg::kernels::{self, KernelTable};
 use bench::train_step::{workload, EpochRunner, StepImpl};
@@ -241,36 +241,25 @@ fn snapshot_serve(path: &str) {
     let mut entries = Vec::new();
     for row in &r.rows {
         eprintln!(
-            "{:<26} {:9.2} us/query (p50 {:.1} p99 {:.1}) {:9.0} q/s (mean batch {:.1})",
+            "{:<26} {:9.2} us/query (p50 {:.1} p99 {:.1}) {:9.0} q/s",
             format!("{}_{}_threads", row.mode, row.threads),
             row.us_per_query,
             row.p50_us,
             row.p99_us,
             row.qps,
-            row.mean_batch
         );
         entries.push(format!(
             "    {{\"mode\": \"{}\", \"threads\": {}, \"us_per_query\": {:.2}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
-             \"queries_per_second\": {:.0}, \"mean_batch\": {:.2}}}",
-            row.mode,
-            row.threads,
-            row.us_per_query,
-            row.p50_us,
-            row.p99_us,
-            row.qps,
-            row.mean_batch
+             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"queries_per_second\": {:.0}}}",
+            row.mode, row.threads, row.us_per_query, row.p50_us, row.p99_us, row.qps,
         ));
     }
     let speedup_4t = r
         .qps_pair(4)
-        .map(|(direct, batched)| batched / direct)
+        .map(|(direct, client)| client / direct)
         .unwrap_or(f64::NAN);
-    eprintln!("{:<26} {speedup_4t:9.2}x", "microbatched_vs_direct_4t");
-    eprintln!(
-        "{:<26} shed {} deadline_expired {} panics {} restarts {}",
-        "robustness_counters", r.shed, r.deadline_expired, r.panics, r.restarts
-    );
+    eprintln!("{:<26} {speedup_4t:9.2}x", "client_vs_direct_4t");
+    eprintln!("{:<26} panics {}", "robustness_counters", r.panics);
     let overhead = serve::measure_telemetry_overhead();
     eprintln!(
         "{:<26} {:9.2} us/query off, {:.2} us/query on ({:+.2}%)",
@@ -281,22 +270,18 @@ fn snapshot_serve(path: &str) {
     );
     let json = format!(
         "{{\n  \"benchmark\": \"serve\",\n  \"workload\": \"single-query serving of one \
-         pre-trained SGD model, {} queries/thread, direct per-thread Predictor vs \
-         cross-caller micro-batched Service client\",\n  \
+         pre-trained SGD model, {} queries/thread, bare per-thread Predictor vs \
+         Service client\",\n  \
          \"kernel_backend\": \"{}\",\n  {},\n  \
-         \"microbatched_vs_direct_qps_at_4_threads\": {speedup_4t:.2},\n  \
-         \"robustness\": {{\"shed\": {}, \"deadline_expired\": {}, \"panics\": {}, \
-         \"restarts\": {}}},\n  \
+         \"client_vs_direct_qps_at_4_threads\": {speedup_4t:.2},\n  \
+         \"robustness\": {{\"panics\": {}}},\n  \
          \"telemetry_overhead\": {{\"uninstrumented_us_per_query\": {:.2}, \
          \"instrumented_us_per_query\": {:.2}, \"overhead_pct\": {:.2}}},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         serve::QUERIES_PER_THREAD,
         backend(),
         resolution_fields(),
-        r.shed,
-        r.deadline_expired,
         r.panics,
-        r.restarts,
         overhead.uninstrumented_us,
         overhead.instrumented_us,
         overhead.overhead_pct,

@@ -1,36 +1,32 @@
 //! Serving benchmark harness for `bench_snapshot` and `benches/serve.rs`:
 //! per-query latency (mean, p50, p99) and total throughput of single-query
-//! serving at 1/2/4 submitting threads, comparing the direct
-//! per-thread-predictor path against the cross-caller micro-batched
-//! [`Service`] path.
+//! serving at 1/2/4 calling threads, comparing a bare per-thread
+//! [`Predictor`] against the [`Service`] client.
 //!
-//! Direct serving is the per-thread optimum (no handoffs, no locks);
-//! micro-batching pays two condvar handoffs per query to amortize graph
-//! setup across callers. On one core the two roughly tie; with real
-//! parallelism the batcher wins because concurrent callers' queries
-//! coalesce into one forward pass. The tail percentiles are what the
-//! robustness layer watches: shedding and deadline budgets are tuned
-//! against p99, not the mean. The batcher's robustness counters (shed /
-//! panics / restarts) ride along in the result — all zero in a healthy
-//! run, so any non-zero value in a snapshot is itself a regression signal.
+//! Both run the same forward pass on the calling thread; the client adds
+//! a read of its cached registry entry, a `catch_unwind`, a counter and
+//! the sampled latency record. The ratio of the two rows is the price of the
+//! front door. The client's panic counter rides along in the result —
+//! zero in a healthy run, so any non-zero value in a snapshot is itself a
+//! regression signal.
 
 use crate::predict::{workload, PredictWorkload};
-use bellamy_core::{BatcherStats, Predictor, Service};
+use bellamy_core::{Predictor, Service};
 use bellamy_telemetry::nearest_rank;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Queries each submitting thread issues per measurement.
+/// Queries each calling thread issues per measurement.
 pub const QUERIES_PER_THREAD: usize = 2000;
 
 /// One (mode, thread-count) measurement.
 #[derive(Debug, Clone)]
 pub struct ServeBenchRow {
-    /// `"direct"` or `"microbatched"`.
+    /// `"direct"` or `"client"`.
     pub mode: &'static str,
-    /// Submitting threads.
+    /// Calling threads.
     pub threads: usize,
-    /// Mean wall-clock µs per query, per submitting thread.
+    /// Mean wall-clock µs per query, per calling thread.
     pub us_per_query: f64,
     /// Median per-query latency in µs (across all threads' queries).
     pub p50_us: f64,
@@ -38,29 +34,20 @@ pub struct ServeBenchRow {
     pub p99_us: f64,
     /// Total queries per second across all threads.
     pub qps: f64,
-    /// Mean queries per flushed batch (1.0 for direct serving).
-    pub mean_batch: f64,
 }
 
 /// All rows of one serving benchmark run.
 pub struct ServeBenchResult {
     /// Measurements for both modes at 1/2/4 threads.
     pub rows: Vec<ServeBenchRow>,
-    /// Robustness counters summed over the micro-batched runs: queries
-    /// shed at admission, deadline revocations, absorbed forward-pass
-    /// panics, and supervisor loop restarts. A healthy benchmark records
-    /// zeros; anything else is a regression worth investigating.
-    pub shed: u64,
-    /// See [`ServeBenchResult::shed`].
-    pub deadline_expired: u64,
-    /// See [`ServeBenchResult::shed`].
+    /// Forward-pass panics the client caught over all its runs. A healthy
+    /// benchmark records zero; anything else is a regression worth
+    /// investigating.
     pub panics: u64,
-    /// See [`ServeBenchResult::shed`].
-    pub restarts: u64,
 }
 
 impl ServeBenchResult {
-    /// The `(direct, microbatched)` qps pair at `threads`.
+    /// The `(direct, client)` qps pair at `threads`.
     pub fn qps_pair(&self, threads: usize) -> Option<(f64, f64)> {
         let find = |mode: &str| {
             self.rows
@@ -68,7 +55,7 @@ impl ServeBenchResult {
                 .find(|r| r.mode == mode && r.threads == threads)
                 .map(|r| r.qps)
         };
-        Some((find("direct")?, find("microbatched")?))
+        Some((find("direct")?, find("client")?))
     }
 }
 
@@ -76,23 +63,14 @@ impl ServeBenchResult {
 pub fn run() -> ServeBenchResult {
     let w = workload();
     let mut rows = Vec::new();
-    let mut counters = BatcherStats::default();
+    let mut panics = 0;
     for &threads in &[1usize, 2, 4] {
         rows.push(run_direct(&w, threads));
-        let (row, stats) = run_microbatched(&w, threads);
+        let (row, run_panics) = run_client(&w, threads);
         rows.push(row);
-        counters.shed += stats.shed;
-        counters.deadline_expired += stats.deadline_expired;
-        counters.panics += stats.panics;
-        counters.restarts += stats.restarts;
+        panics += run_panics;
     }
-    ServeBenchResult {
-        rows,
-        shed: counters.shed,
-        deadline_expired: counters.deadline_expired,
-        panics: counters.panics,
-        restarts: counters.restarts,
-    }
+    ServeBenchResult { rows, panics }
 }
 
 /// Direct serving: each thread owns a `Predictor` and queries the shared
@@ -135,17 +113,15 @@ fn run_direct(w: &PredictWorkload, threads: usize) -> ServeBenchRow {
         }
         elapsed = start.elapsed().as_secs_f64();
     });
-    row("direct", threads, elapsed, 1.0, &mut latencies)
+    row("direct", threads, elapsed, &mut latencies)
 }
 
-/// Micro-batched serving: every thread submits single queries through
-/// clones of one [`Service`] client; the serving loop coalesces them.
-/// Also returns the batcher's counter delta for the robustness summary.
-fn run_microbatched(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, BatcherStats) {
+/// Client serving: every thread sends single queries through clones of
+/// one [`Service`] client. Also returns the panics the client caught.
+fn run_client(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, u64) {
     let service = Service::builder().build().expect("in-memory service");
     let client = service.client_for_state(Arc::clone(&w.state));
     let props = &w.props;
-    let before = client.batcher_stats();
     let mut latencies: Vec<u64> = Vec::with_capacity(threads * QUERIES_PER_THREAD);
     let mut elapsed = 0.0;
     std::thread::scope(|scope| {
@@ -158,7 +134,7 @@ fn run_microbatched(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, Batc
                         std::hint::black_box(
                             client
                                 .predict(2.0 + (i % 11) as f64, props)
-                                .expect("service is live"),
+                                .expect("no panic"),
                         );
                     }
                     let mut lat = Vec::with_capacity(QUERIES_PER_THREAD);
@@ -167,7 +143,7 @@ fn run_microbatched(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, Batc
                         let issued = Instant::now();
                         acc += client
                             .predict(2.0 + (i % 11) as f64, props)
-                            .expect("service is live");
+                            .expect("no panic");
                         lat.push(issued.elapsed().as_nanos() as u64);
                     }
                     std::hint::black_box(acc);
@@ -180,29 +156,13 @@ fn run_microbatched(w: &PredictWorkload, threads: usize) -> (ServeBenchRow, Batc
         }
         elapsed = start.elapsed().as_secs_f64();
     });
-    let stats = client.batcher_stats();
-    let batches = (stats.batches - before.batches).max(1);
-    let queries = stats.queries - before.queries;
-    let delta = BatcherStats {
-        shed: stats.shed - before.shed,
-        deadline_expired: stats.deadline_expired - before.deadline_expired,
-        panics: stats.panics - before.panics,
-        restarts: stats.restarts - before.restarts,
-        ..BatcherStats::default()
-    };
     (
-        row(
-            "microbatched",
-            threads,
-            elapsed,
-            queries as f64 / batches as f64,
-            &mut latencies,
-        ),
-        delta,
+        row("client", threads, elapsed, &mut latencies),
+        client.batcher_stats().panics,
     )
 }
 
-/// Cost of the telemetry instrumentation on the steady-state submit path:
+/// Cost of the telemetry instrumentation on the steady-state client path:
 /// single-thread µs/query with latency timing disabled vs enabled.
 #[derive(Debug, Clone)]
 pub struct TelemetryOverheadRow {
@@ -215,10 +175,10 @@ pub struct TelemetryOverheadRow {
     pub overhead_pct: f64,
 }
 
-/// Measures the submit-path cost of the latency-timing instrumentation
+/// Measures the client-path cost of the latency-timing instrumentation
 /// (the only telemetry the toggle gates — counters always run, exactly as
 /// they did before the telemetry subsystem existed). The timing itself is
-/// sampled 1-in-8 inside the batcher, so the ON side pays one sampler
+/// sampled 1-in-8 inside the client, so the ON side pays one sampler
 /// `fetch_add` per query plus an amortized `Instant` pair. OFF/ON runs are
 /// interleaved and each side keeps its best of five windows, cancelling
 /// frequency drift and background noise on shared hosts.
@@ -231,7 +191,7 @@ pub fn measure_telemetry_overhead() -> TelemetryOverheadRow {
         std::hint::black_box(
             client
                 .predict(2.0 + (i % 11) as f64, props)
-                .expect("service is live"),
+                .expect("no panic"),
         );
     }
     let time_window = || {
@@ -240,7 +200,7 @@ pub fn measure_telemetry_overhead() -> TelemetryOverheadRow {
         for i in 0..QUERIES_PER_THREAD {
             acc += client
                 .predict(2.0 + (i % 11) as f64, props)
-                .expect("service is live");
+                .expect("no panic");
         }
         std::hint::black_box(acc);
         start.elapsed().as_secs_f64() / QUERIES_PER_THREAD as f64 * 1e6
@@ -268,13 +228,7 @@ fn percentile_us(sorted: &[u64], q: f64) -> f64 {
     nearest_rank(sorted, q) as f64 / 1e3
 }
 
-fn row(
-    mode: &'static str,
-    threads: usize,
-    elapsed_s: f64,
-    mean_batch: f64,
-    latencies: &mut [u64],
-) -> ServeBenchRow {
+fn row(mode: &'static str, threads: usize, elapsed_s: f64, latencies: &mut [u64]) -> ServeBenchRow {
     latencies.sort_unstable();
     // Warm-up queries are inside the window; subtract them from neither
     // side — they are the same 10% for both modes.
@@ -286,7 +240,6 @@ fn row(
         p50_us: percentile_us(latencies, 0.50),
         p99_us: percentile_us(latencies, 0.99),
         qps: (threads * per_thread) as f64 / elapsed_s,
-        mean_batch,
     }
 }
 
@@ -318,16 +271,10 @@ mod tests {
                 row.mode,
                 row.threads
             );
-            assert!(row.mean_batch >= 1.0);
         }
-        let (direct, batched) = r.qps_pair(4).expect("4-thread rows exist");
-        assert!(direct > 0.0 && batched > 0.0);
-        // A healthy benchmark never sheds, revokes, or panics.
-        assert_eq!(
-            (r.shed, r.deadline_expired, r.panics, r.restarts),
-            (0, 0, 0, 0),
-            "robustness counters must stay zero under benchmark load"
-        );
+        let (direct, client) = r.qps_pair(4).expect("4-thread rows exist");
+        assert!(direct > 0.0 && client > 0.0);
+        assert_eq!(r.panics, 0, "a healthy benchmark never panics");
     }
 
     #[test]

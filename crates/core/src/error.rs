@@ -11,10 +11,9 @@
 use crate::hub::HubError;
 use crate::model::PredictError;
 use crate::search::SearchError;
-use std::time::Duration;
 
 /// Any error the Bellamy serving stack can surface: the union of the
-/// per-subsystem errors plus the service lifecycle cases.
+/// per-subsystem errors plus a panicked query.
 #[derive(Debug)]
 pub enum BellamyError {
     /// Inference was requested from an unfitted model.
@@ -23,27 +22,9 @@ pub enum BellamyError {
     Hub(HubError),
     /// Hyperparameter search could not produce a usable model.
     Search(SearchError),
-    /// A query was submitted to a service whose serving loop has stopped
-    /// (the service was shut down or its loop terminated abnormally).
-    ServiceStopped,
-    /// The micro-batcher's admission window
-    /// ([`crate::serve::BatcherConfig::max_inflight`]) is full: submitters
-    /// are outrunning the predictor and this query was shed instead of
-    /// parking unboundedly. Back off for roughly `retry_after_hint` (the
-    /// configured flush wait plus the recently observed batch service
-    /// time) before retrying.
-    Overloaded {
-        /// A back-off hint derived from the batcher's flush cadence.
-        retry_after_hint: Duration,
-    },
-    /// The query's deadline budget elapsed before a result was delivered;
-    /// the submitter revoked its queue slot (or discarded a too-late
-    /// result) and gave up. Retry with a larger budget or at lower load.
-    DeadlineExceeded,
-    /// The batched forward pass containing this query panicked. Only that
-    /// batch failed — the supervised serving loop restarts and subsequent
-    /// queries are served normally (unless repeated panics degraded the
-    /// client to direct per-caller prediction). Safe to retry.
+    /// The forward pass of this query panicked on the caller's thread.
+    /// Only this query failed; the thread's next query is served normally.
+    /// Safe to retry.
     BatchPanicked,
 }
 
@@ -53,27 +34,10 @@ impl std::fmt::Display for BellamyError {
             BellamyError::Predict(e) => write!(f, "predict: {e}"),
             BellamyError::Hub(e) => write!(f, "hub: {e}"),
             BellamyError::Search(e) => write!(f, "search: {e}"),
-            BellamyError::ServiceStopped => {
-                write!(
-                    f,
-                    "the serving loop has stopped; no further queries are accepted"
-                )
-            }
-            BellamyError::Overloaded { retry_after_hint } => {
-                write!(
-                    f,
-                    "service overloaded: the admission window is full; retry after ~{}us",
-                    retry_after_hint.as_micros()
-                )
-            }
-            BellamyError::DeadlineExceeded => {
-                write!(f, "query deadline exceeded before a result was delivered")
-            }
             BellamyError::BatchPanicked => {
                 write!(
                     f,
-                    "the serving batch containing this query panicked; the loop \
-                     restarts and the query is safe to retry"
+                    "the forward pass of this query panicked; the query is safe to retry"
                 )
             }
         }
@@ -86,10 +50,7 @@ impl std::error::Error for BellamyError {
             BellamyError::Predict(e) => Some(e),
             BellamyError::Hub(e) => Some(e),
             BellamyError::Search(e) => Some(e),
-            BellamyError::ServiceStopped
-            | BellamyError::Overloaded { .. }
-            | BellamyError::DeadlineExceeded
-            | BellamyError::BatchPanicked => None,
+            BellamyError::BatchPanicked => None,
         }
     }
 }
@@ -124,15 +85,6 @@ mod tests {
         assert!(e.to_string().contains("no model registered"));
         let e: BellamyError = SearchError::AllTrialsDiverged { trials: 3 }.into();
         assert!(e.to_string().contains("diverged"));
-        assert!(BellamyError::ServiceStopped.to_string().contains("stopped"));
-        let e = BellamyError::Overloaded {
-            retry_after_hint: std::time::Duration::from_micros(250),
-        };
-        assert!(e.to_string().contains("overloaded"));
-        assert!(e.to_string().contains("250us"));
-        assert!(BellamyError::DeadlineExceeded
-            .to_string()
-            .contains("deadline"));
         assert!(BellamyError::BatchPanicked.to_string().contains("retry"));
     }
 
@@ -141,7 +93,7 @@ mod tests {
         use std::error::Error;
         let e: BellamyError = PredictError::NotFitted.into();
         assert!(e.source().is_some());
-        assert!(BellamyError::ServiceStopped.source().is_none());
+        assert!(BellamyError::BatchPanicked.source().is_none());
     }
 
     #[test]

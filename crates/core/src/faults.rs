@@ -4,9 +4,9 @@
 //! checkpoint bytes, panicking model code — are rare in tests and constant
 //! in production. This module makes them *injectable on demand*: named
 //! failpoints are compiled into the hub's disk probe/persist path, the
-//! checkpoint decode step, and the micro-batcher's flush path, and tests
+//! checkpoint decode step, and the single-query predict path, and tests
 //! arm them with a [`FaultPlan`] to deterministically reproduce I/O errors,
-//! corrupt reads, mid-batch panics, and artificial latency.
+//! corrupt reads, forward-pass panics, and artificial latency.
 //!
 //! The failpoints are compiled **always** (no test-only `cfg`, so release
 //! stress runs exercise exactly the shipped code) but cost one relaxed-ish
@@ -17,8 +17,8 @@
 //! ```no_run
 //! use bellamy_core::faults::{self, Fault, FaultPlan};
 //!
-//! // Panic exactly one flush, then behave normally again.
-//! let _armed = faults::SERVE_FLUSH.arm(FaultPlan::once(Fault::Panic));
+//! // Panic exactly one query, then behave normally again.
+//! let _armed = faults::SERVE_PREDICT.arm(FaultPlan::once(Fault::Panic));
 //! // ... drive the service; the guard disarms the point when dropped.
 //! ```
 //!
@@ -245,11 +245,11 @@ pub static HUB_DISK_PERSIST: Failpoint = Failpoint::new("hub.disk.persist");
 /// (not a corruption — no quarantine).
 pub static CHECKPOINT_DECODE: Failpoint = Failpoint::new("checkpoint.decode");
 
-/// The micro-batcher's flush (serving loop and assist path alike), hit once
-/// per batch just before the forward pass. `Panic`: the forward pass
-/// panics mid-batch; `Delay`: a slow model (overload/deadline tests).
+/// [`crate::serve::ModelClient::predict`], hit once per query on the
+/// caller's thread just before the forward pass, inside the call's
+/// `catch_unwind`. `Panic`: the forward pass panics; `Delay`: a slow model.
 /// `Error`/`Corrupt` are ignored at this site.
-pub static SERVE_FLUSH: Failpoint = Failpoint::new("serve.flush");
+pub static SERVE_PREDICT: Failpoint = Failpoint::new("serve.predict");
 
 #[cfg(test)]
 mod tests {

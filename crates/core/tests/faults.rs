@@ -1,9 +1,8 @@
 //! Fault-injection tests for the serving stack's robustness layer: a
-//! panicking forward pass fails only its own batch and the supervised loop
-//! restarts (bit-identical afterwards); repeated panics degrade to direct
-//! per-caller prediction; overload sheds at the admission window and
-//! recovers; deadline-expired submitters never race the deliverer; corrupt
-//! checkpoints are quarantined instead of poisoning their key forever.
+//! panicking forward pass fails only its own query and the caller's thread
+//! keeps serving bit-identical results; corrupt checkpoints are quarantined
+//! instead of poisoning their key forever; transient disk errors are
+//! retried.
 //!
 //! The failpoints (`bellamy_core::faults`) are process-global statics, so
 //! every test that arms one holds [`fault_lock`] for its whole body — the
@@ -12,17 +11,14 @@
 
 use bellamy_core::faults::{self, Fault, FaultPlan};
 use bellamy_core::hub::HubError;
-use bellamy_core::serve::PANIC_DEGRADE_LIMIT;
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, BellamyError, ContextProperties, FlushPolicy, ModelHub,
-    ModelKey, ModelState, Predictor, PretrainConfig, Service, TrainingSample,
+    event_kind, Bellamy, BellamyConfig, BellamyError, ContextProperties, ModelHub, ModelKey,
+    ModelState, Predictor, PretrainConfig, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use bellamy_nn::CheckpointError;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes tests that arm the global failpoints. A panicking test must
 /// not wedge the rest of the suite, so poisoning is ignored.
@@ -69,207 +65,49 @@ fn direct_bits(state: &Arc<ModelState>, scale_out: f64, props: &ContextPropertie
     Predictor::with_thread_local(|p| p.predict_one(state, scale_out, props)).to_bits()
 }
 
-/// A deadline-policy service (all flushing through the supervised loop, no
-/// caller assists — panics must land on the loop for these tests).
-fn loop_only_service(cfg: BatcherConfig) -> Service {
-    Service::builder()
-        .batcher(BatcherConfig {
-            policy: FlushPolicy::Deadline,
-            ..cfg
-        })
-        .build()
-        .expect("in-memory service")
-}
-
 #[test]
-fn panic_mid_batch_fails_only_that_batch_and_the_loop_restarts() {
+fn a_panicking_forward_pass_fails_only_its_own_query() {
     let _serial = fault_lock();
     let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(200),
-        ..BatcherConfig::default()
-    });
+    let service = Service::in_memory();
     let client = service.client_for_state(Arc::clone(&state));
     let props = &samples[0].props;
+    let expected = direct_bits(&state, 4.0, props);
+    // Warm this thread's predictor first, so the panic below unwinds out
+    // of a predictor that has served before.
+    let before = client.predict(4.0, props).expect("warm-up");
+    assert_eq!(before.to_bits(), expected);
 
-    let _armed = faults::SERVE_FLUSH.arm(FaultPlan::once(Fault::Panic));
-    assert!(
-        matches!(client.predict(4.0, props), Err(BellamyError::BatchPanicked)),
-        "the query in the panicked batch must get the typed, retryable error"
-    );
-
-    // The loop restarted: the very next query serves normally and stays
-    // bit-identical to a direct predictor call.
-    let after = client.predict(4.0, props).expect("restarted loop serves");
-    assert_eq!(after.to_bits(), direct_bits(&state, 4.0, props));
-
-    let stats = client.batcher_stats();
-    assert_eq!(stats.panics, 1);
-    assert_eq!(stats.restarts, 1);
-    assert!(!stats.degraded, "one panic must not degrade the batcher");
-}
-
-#[test]
-fn repeated_panics_degrade_to_direct_serving() {
-    let _serial = fault_lock();
-    let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 4,
-        max_wait: Duration::from_micros(200),
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
-    let props = &samples[1].props;
-
-    let _armed =
-        faults::SERVE_FLUSH.arm(FaultPlan::times(Fault::Panic, PANIC_DEGRADE_LIMIT as u64));
-    for i in 0..PANIC_DEGRADE_LIMIT {
+    {
+        let _armed = faults::SERVE_PREDICT.arm(FaultPlan::once(Fault::Panic));
         assert!(
-            matches!(client.predict(6.0, props), Err(BellamyError::BatchPanicked)),
-            "panic {i} must fail its own batch"
+            matches!(client.predict(4.0, props), Err(BellamyError::BatchPanicked)),
+            "the panicked query must get the typed, retryable error"
         );
     }
 
-    // The degrade threshold is reached: serving continues *directly* with
-    // values bit-identical to the batched path.
-    let after = client.predict(6.0, props).expect("degraded mode serves");
-    assert_eq!(after.to_bits(), direct_bits(&state, 6.0, props));
-    let stats = client.batcher_stats();
-    assert!(stats.degraded, "batcher must report degraded mode");
-    assert_eq!(stats.panics, PANIC_DEGRADE_LIMIT as u64);
-    assert_eq!(stats.restarts, PANIC_DEGRADE_LIMIT as u64 - 1);
-
-    // Degraded serving works from many threads at once.
-    let ok = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(|| {
-                for _ in 0..8 {
-                    let got = client.predict(6.0, props).expect("degraded predict");
-                    assert_eq!(got.to_bits(), direct_bits(&state, 6.0, props));
-                    ok.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    assert_eq!(ok.load(Ordering::Relaxed), 32);
-}
-
-#[test]
-fn overload_sheds_at_the_admission_window_and_recovers() {
-    let _serial = fault_lock();
-    let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 2,
-        max_wait: Duration::from_micros(500),
-        max_inflight: 4,
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
-    let props = &samples[2].props;
-    let expected = direct_bits(&state, 8.0, props);
-
-    let shed = AtomicU64::new(0);
-    let served = AtomicU64::new(0);
-    {
-        // A slow model: each flush takes ~20ms, so 16 simultaneous callers
-        // pile far past the window of 4.
-        let _armed =
-            faults::SERVE_FLUSH.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(20))));
-        let barrier = Barrier::new(16);
-        std::thread::scope(|scope| {
-            for _ in 0..16 {
-                scope.spawn(|| {
-                    barrier.wait();
-                    match client.predict(8.0, props) {
-                        Ok(v) => {
-                            assert_eq!(v.to_bits(), expected, "served results stay bit-identical");
-                            served.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(BellamyError::Overloaded { retry_after_hint }) => {
-                            assert!(retry_after_hint > Duration::ZERO);
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("unexpected error under overload: {other}"),
-                    }
-                });
-            }
-        });
-    }
-    let (shed, served) = (shed.load(Ordering::Relaxed), served.load(Ordering::Relaxed));
-    assert_eq!(shed + served, 16);
-    assert!(shed > 0, "16 callers against a window of 4 must shed");
-    assert!(served > 0, "admitted callers must still be served");
-    let stats = client.batcher_stats();
-    assert_eq!(stats.shed, shed);
-
-    // The overload was load, not damage: with the slow-model fault gone the
-    // next query is admitted and served normally.
-    let after = client.predict(8.0, props).expect("recovered");
+    // The same thread's next query serves normally, bit-identical to a
+    // direct predictor call.
+    let after = client
+        .predict(4.0, props)
+        .expect("the thread keeps serving");
     assert_eq!(after.to_bits(), expected);
-    assert_eq!(client.batcher_stats().shed, shed, "no new shedding at idle");
-}
 
-#[test]
-fn deadline_expiry_never_races_the_deliverer() {
-    let _serial = fault_lock();
-    let (state, samples) = pretrained();
-    let service = loop_only_service(BatcherConfig {
-        max_batch: 64,
-        max_wait: Duration::from_micros(300),
-        ..BatcherConfig::default()
-    });
-    let client = service.client_for_state(Arc::clone(&state));
-    let props = &samples[0].props;
-    let expected = direct_bits(&state, 5.0, props);
-
-    // Every flush takes ≥1ms while most budgets are far shorter: expiry
-    // constantly races batch claims. The revocation contract says every
-    // outcome is either a bit-identical result or a clean DeadlineExceeded
-    // — never a hang, a stale read, or a crash (a revoked slot touched by
-    // the deliverer would be a use-after-free; run under the release-mode
-    // stress CI job to shake the interleavings).
-    let _armed = faults::SERVE_FLUSH.arm(FaultPlan::always(Fault::Delay(Duration::from_millis(1))));
-    let iterations: u64 = if cfg!(debug_assertions) { 40 } else { 150 };
-    let expired = AtomicU64::new(0);
-    let delivered = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..8u64 {
-            let (expired, delivered) = (&expired, &delivered);
-            let client = &client;
-            scope.spawn(move || {
-                for i in 0..iterations {
-                    // Budgets straddle the flush time so both outcomes occur.
-                    let budget = Duration::from_micros(100 + 150 * ((t + i) % 5));
-                    match client.predict_with_deadline(5.0, props, budget) {
-                        Ok(v) => {
-                            assert_eq!(v.to_bits(), expected);
-                            delivered.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(BellamyError::DeadlineExceeded) => {
-                            expired.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("unexpected error: {other}"),
-                    }
-                }
-            });
-        }
-    });
-    let (expired, delivered) = (
-        expired.load(Ordering::Relaxed),
-        delivered.load(Ordering::Relaxed),
+    let stats = client.batcher_stats();
+    assert_eq!(stats.panics, 1);
+    assert_eq!(
+        stats.queries, 2,
+        "the panicked query is not counted as served"
     );
-    assert_eq!(expired + delivered, 8 * iterations);
+    let snap = service.telemetry();
+    assert_eq!(snap.counter("bellamy_serve_panics_total"), Some(1));
     assert!(
-        expired > 0,
-        "sub-flush budgets against a 1ms flush must expire sometimes"
+        snap.events()
+            .iter()
+            .any(|e| e.kind == event_kind::LOOP_PANIC && e.detail.contains("serve.predict")),
+        "the panic must leave a serve.panic event; got {:?}",
+        snap.events()
     );
-    assert_eq!(client.batcher_stats().deadline_expired, expired);
-
-    // Deadline-free serving is untouched afterwards.
-    let after = client.predict(5.0, props).expect("no-deadline predict");
-    assert_eq!(after.to_bits(), expected);
 }
 
 #[test]

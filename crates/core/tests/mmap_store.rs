@@ -1,7 +1,7 @@
 //! The zero-copy checkpoint store, end to end: a hub in mmap mode serves
 //! weights straight out of the page cache (`ModelState::weights_mapped`),
 //! bit-identical to the deserialize mode across every prediction surface
-//! (batch, sweep, micro-batched serve) and under thread-parallel readers
+//! (batch, sweep, the serving client) and under thread-parallel readers
 //! sharing one mapped state; legacy BLMY v1 checkpoints — pinned by a
 //! committed fixture — still recall in both modes.
 
@@ -182,7 +182,7 @@ fn mapped_recall_is_bit_identical_to_deserialize_across_all_surfaces() {
         assert_eq!(a.to_bits(), b.to_bits(), "predict_sweep must not move");
     }
 
-    // The micro-batched serving front door.
+    // The serving front door's single-query path.
     let service = Service::in_memory();
     let client_owned = service.client_for_state(Arc::clone(&owned));
     let client_mapped = service.client_for_state(Arc::clone(&mapped));

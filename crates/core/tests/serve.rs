@@ -1,17 +1,16 @@
-//! Contract tests for the `core::serve` front door: cross-caller
-//! micro-batched predictions must be bit-identical to direct `Predictor`
-//! calls, both flush paths (capacity and timeout) must fire, and the
-//! service must compose with the hub's recall → fine-tune workflow.
+//! Contract tests for the `core::serve` front door: single queries from
+//! concurrent callers must be bit-identical to direct `Predictor` calls
+//! and counted exactly, and the service must compose with the hub's
+//! recall → fine-tune workflow.
 
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, BellamyError, ContextProperties, FinetuneConfig,
-    FinetunePolicy, FlushPolicy, HubError, ModelKey, ModelState, Predictor, PretrainConfig,
-    ReuseStrategy, Service, TrainingSample,
+    Bellamy, BellamyConfig, BellamyError, ContextProperties, FinetuneConfig, FinetunePolicy,
+    HubError, ModelKey, ModelState, Predictor, PretrainConfig, ReuseStrategy, Service,
+    TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
 
 /// A small deterministic corpus over a few distinct contexts.
 fn corpus() -> Vec<TrainingSample> {
@@ -50,20 +49,9 @@ fn pretrained() -> (Arc<ModelState>, Vec<TrainingSample>) {
 }
 
 #[test]
-fn eight_concurrent_submitters_get_bit_identical_results() {
+fn eight_concurrent_callers_get_bit_identical_results() {
     let (state, samples) = pretrained();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 8,
-            max_wait: Duration::from_micros(500),
-            // Deadline: all serving goes through the loop, so the flushes
-            // genuinely coalesce queries from different callers (the
-            // eager policy would let each submitter serve itself here).
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
+    let service = Service::in_memory();
     let client = service.client_for_state(Arc::clone(&state));
 
     // Direct reference: one predictor, one query at a time.
@@ -81,21 +69,24 @@ fn eight_concurrent_submitters_get_bit_identical_results() {
         })
         .collect();
 
-    // 8 threads hammer one client (each its own clone), many rounds so
-    // flushes interleave submissions from different callers.
+    // 8 threads hammer one client (each its own clone) for many rounds,
+    // released together, so they race on the snapshot's shared encoding
+    // cache and the counters.
+    let start = Barrier::new(8);
     let got: Vec<Vec<u64>> = std::thread::scope(|scope| {
         (0..8)
             .map(|t| {
                 let client = client.clone();
-                let samples = &samples;
+                let (samples, start) = (&samples, &start);
                 scope.spawn(move || {
+                    start.wait();
                     let mut bits = Vec::new();
                     for _round in 0..5 {
                         bits.clear();
                         for s in samples.iter() {
                             let pred = client
                                 .predict(s.scale_out + (t % 3) as f64, &s.props)
-                                .expect("service is live");
+                                .expect("no panic");
                             bits.push(pred.to_bits());
                         }
                     }
@@ -104,140 +95,33 @@ fn eight_concurrent_submitters_get_bit_identical_results() {
             })
             .collect::<Vec<_>>()
             .into_iter()
-            .map(|h| h.join().expect("submitter thread"))
+            .map(|h| h.join().expect("caller thread"))
             .collect()
     });
 
     for (t, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(g, e, "thread {t}: micro-batched bits drifted from direct");
+        assert_eq!(g, e, "thread {t}: served bits drifted from direct");
     }
     let stats = client.batcher_stats();
     assert_eq!(stats.queries, 8 * 5 * samples.len() as u64);
-    assert!(stats.batches > 0);
-    assert!(
-        stats.batches < stats.queries,
-        "cross-caller coalescing must form multi-query batches \
-         ({} batches for {} queries)",
-        stats.batches,
-        stats.queries
-    );
+    assert_eq!(stats.batches, stats.queries, "one forward pass per query");
+    assert_eq!(stats.panics, 0);
 }
 
 #[test]
-fn capacity_flush_fires_when_the_batch_fills() {
+fn batched_entry_points_agree_with_single_queries() {
     let (state, samples) = pretrained();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 2,
-            // Far beyond the test timeout: under the strict deadline
-            // policy only a capacity flush can release the two parked
-            // submitters quickly.
-            max_wait: Duration::from_secs(30),
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
-    let client = service.client_for_state(state);
-
-    let preds: Vec<f64> = std::thread::scope(|scope| {
-        (0..2)
-            .map(|t| {
-                let client = client.clone();
-                let props = &samples[t].props;
-                scope.spawn(move || client.predict(4.0 + t as f64, props).expect("live"))
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("submitter"))
-            .collect()
-    });
-    assert!(preds.iter().all(|p| p.is_finite()));
-    let stats = client.batcher_stats();
-    assert_eq!(stats.queries, 2);
-    assert_eq!(stats.capacity_flushes, 1, "the pair must flush on capacity");
-    assert_eq!(stats.timeout_flushes, 0);
-}
-
-#[test]
-fn timeout_flush_fires_for_a_lone_query() {
-    let (state, samples) = pretrained();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 1024,
-            max_wait: Duration::from_millis(2),
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
-    let client = service.client_for_state(state);
-    let pred = client.predict(6.0, &samples[0].props).expect("live");
-    assert!(pred.is_finite());
-    let stats = client.batcher_stats();
-    assert_eq!(stats.queries, 1);
-    assert_eq!(stats.batches, 1);
-    assert_eq!(
-        stats.timeout_flushes, 1,
-        "a lone query can only leave via the timeout flush"
-    );
-    assert_eq!(stats.capacity_flushes, 0);
-}
-
-#[test]
-fn eager_policy_quiesce_flushes_a_lone_query_quickly() {
-    let (state, samples) = pretrained();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 1024,
-            // An hour-long deadline: only the quiescence flush can serve
-            // a lone query promptly under the eager policy.
-            max_wait: Duration::from_secs(3600),
-            policy: FlushPolicy::Eager,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
-    let client = service.client_for_state(state);
-    let start = std::time::Instant::now();
-    let pred = client.predict(6.0, &samples[0].props).expect("live");
-    assert!(pred.is_finite());
-    assert!(
-        start.elapsed() < Duration::from_secs(10),
-        "eager flush must not wait out the deadline"
-    );
-    let stats = client.batcher_stats();
-    assert_eq!(
-        stats.quiesce_flushes + stats.assist_flushes,
-        1,
-        "the lone query leaves via the quiesce flush (loop) or the \
-         assist flush (submitter), never the deadline: {stats:?}"
-    );
-    assert_eq!(stats.capacity_flushes, 0);
-    assert_eq!(stats.timeout_flushes, 0);
-}
-
-#[test]
-fn batched_entry_points_agree_with_micro_batched_singles() {
-    let (state, samples) = pretrained();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 4,
-            max_wait: Duration::ZERO,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
+    let service = Service::in_memory();
     let client = service.client_for_state(Arc::clone(&state));
     let props = &samples[0].props;
     let xs: Vec<f64> = (2..=12).map(f64::from).collect();
     let sweep = client.predict_sweep(props, &xs);
     for (&x, &swept) in xs.iter().zip(&sweep) {
-        let single = client.predict(x, props).expect("live");
+        let single = client.predict(x, props).expect("no panic");
         assert_eq!(
             single.to_bits(),
             swept.to_bits(),
-            "sweep and micro-batched single must agree at x={x}"
+            "sweep and single query must agree at x={x}"
         );
     }
 }

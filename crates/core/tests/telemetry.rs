@@ -1,5 +1,6 @@
 //! Service-level contract tests for `Service::telemetry()`: the snapshot
-//! must expose the serve-path latency histograms and robustness counters,
+//! must expose the serve-path query and panic counters and latency
+//! histogram,
 //! the hub's per-mode recall metrics, the process-wide train/predict
 //! metrics and kernel resolution, and must render to JSON and Prometheus
 //! text. Corrupt-checkpoint quarantines must surface both as a counter and
@@ -11,12 +12,11 @@
 
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    event_kind, BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FlushPolicy, HubError,
-    ModelKey, ModelState, PretrainConfig, Service, TrainingSample,
+    event_kind, Bellamy, BellamyConfig, ContextProperties, HubError, ModelKey, ModelState,
+    PretrainConfig, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small deterministic corpus over a few distinct contexts.
 fn corpus() -> Vec<TrainingSample> {
@@ -67,12 +67,6 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
     // metrics) and persists a checkpoint for the disk-recall leg below.
     let service = Service::builder()
         .hub_dir(&dir)
-        .batcher(BatcherConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(500),
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
         .build()
         .expect("disk-backed service");
     let client = service
@@ -85,48 +79,42 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
 
     let snap = service.telemetry();
 
-    // Serve path: exact per-service counters, latency and batch-size
-    // histograms, robustness counters, queue depth.
+    // Serve path: exact per-service counters and the sampled latency
+    // histogram, read from the same atomics as `BatcherStats`.
     assert_eq!(snap.counter("bellamy_serve_queries_total"), Some(queries));
+    assert_eq!(snap.counter("bellamy_serve_panics_total"), Some(0));
     let stats = client.batcher_stats();
     assert_eq!(
-        snap.counter("bellamy_serve_batches_total"),
-        Some(stats.batches),
+        (stats.queries, stats.panics),
+        (queries, 0),
         "telemetry and BatcherStats must read the same atomics"
     );
-    let flushes: u64 = ["capacity", "timeout", "quiesce", "assist", "shutdown"]
-        .iter()
-        .map(|reason| {
-            snap.counter_with("bellamy_serve_flushes_total", "reason", reason)
-                .unwrap_or_else(|| panic!("missing flush reason {reason}"))
-        })
-        .sum();
-    assert_eq!(flushes, stats.batches, "every batch has one flush reason");
     let submit = snap
         .histogram("bellamy_serve_submit_latency_seconds")
-        .expect("submit latency histogram");
-    // Submit latency is sampled 1-in-8 (the clock pair costs more than the
-    // rest of the record path); this thread submitted sequentially, so the
+        .expect("predict latency histogram");
+    // Latency is sampled 1-in-8 (the clock pair costs more than the rest
+    // of the record path); this thread predicted sequentially, so the
     // sampled count is exact.
     assert_eq!(submit.count(), queries.div_ceil(8));
     assert!(
         submit.quantile(0.5) <= submit.quantile(0.99),
         "p50 must not exceed p99"
     );
-    let batch_size = snap
-        .histogram("bellamy_serve_batch_size")
-        .expect("batch size histogram");
-    assert_eq!(batch_size.count(), stats.batches);
-    for name in [
-        "bellamy_serve_shed_total",
-        "bellamy_serve_deadline_expired_total",
-        "bellamy_serve_panics_total",
-        "bellamy_serve_restarts_total",
-    ] {
-        assert_eq!(snap.counter(name), Some(0), "{name} on a healthy run");
-    }
-    assert_eq!(snap.gauge("bellamy_serve_queue_depth"), Some(0));
-    assert_eq!(snap.gauge("bellamy_serve_degraded"), Some(0));
+    let serve_metrics: Vec<&str> = snap
+        .samples()
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| name.starts_with("bellamy_serve_"))
+        .collect();
+    assert_eq!(
+        serve_metrics,
+        [
+            "bellamy_serve_queries_total",
+            "bellamy_serve_panics_total",
+            "bellamy_serve_submit_latency_seconds"
+        ],
+        "one model served, three serve metrics"
+    );
 
     // Hub: the miss pretrained exactly once; no disk recall yet.
     assert_eq!(snap.counter("bellamy_hub_pretrains_total"), Some(1));

@@ -16,7 +16,7 @@
 //! The counter is process-global, so the tests run one at a time
 //! ([`serial`]), and it counts only the threads a test exercises: the test
 //! thread holding the serial lock and the library's own threads (all named
-//! `bellamy-*`: worker-team helpers, the serving loop). The harness runs
+//! `bellamy-*`: the worker-team helpers). The harness runs
 //! beside every window — libtest's main thread spawns the next test when
 //! one finishes, and the new thread allocates while it starts — and those
 //! allocations are not the library's.
@@ -24,9 +24,8 @@
 use bellamy_core::finetune::fine_tune;
 use bellamy_core::train::Pretrainer;
 use bellamy_core::{
-    BatcherConfig, Bellamy, BellamyConfig, ContextProperties, FinetuneConfig, FlushPolicy,
-    ModelHub, ModelKey, ModelState, PredictQuery, Predictor, PretrainConfig, RecallMode,
-    ReuseStrategy, Service, TrainingSample,
+    Bellamy, BellamyConfig, ContextProperties, FinetuneConfig, ModelHub, ModelKey, ModelState,
+    PredictQuery, Predictor, PretrainConfig, RecallMode, ReuseStrategy, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -367,55 +366,44 @@ fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
 }
 
 #[test]
-fn steady_state_micro_batched_submit_is_allocation_free() {
+fn steady_state_client_predict_is_allocation_free() {
     let _serial = serial();
-    // The serve front door's single-query path: submit into the pending
-    // ring (preallocated), park on a stack slot, serving loop flushes
-    // through a warm predictor, result lands back in the slot. After the
-    // warm-up sized the arena, pool matrices, and the shared encoding
-    // cache, a steady-state submit must not touch the allocator — on the
-    // submitting side *or* inside the serving loop (the counter is global,
-    // so this window covers both threads). The path is fully instrumented
-    // (telemetry counters, the submit-latency and batch-size histograms
-    // with timing enabled by default), so this also proves the record path
-    // is the promised single `fetch_add` — no boxing, no formatting.
+    // The serve front door's single-query path: the client's cached
+    // registry entry, a `catch_unwind` around this thread's warm predictor,
+    // the query and panic counters, and the sampled latency histogram.
+    // After the warm-up sized the arena, pool matrices, and the shared
+    // encoding cache (and created the registry entry), a steady-state
+    // `predict` must not touch the allocator. Timing is on (the default)
+    // and the window spans more than one sampling period, so this also
+    // proves the latency record path is the promised single `fetch_add` —
+    // no boxing, no formatting.
+    assert!(bellamy_telemetry::timing_enabled());
     let (state, samples) = fitted_state_and_samples();
     let props = samples[0].props.clone();
-    let service = Service::builder()
-        .batcher(BatcherConfig {
-            max_batch: 4,
-            // Deadline policy with a zero deadline: the serving loop
-            // flushes every submission immediately — deterministic 1-query
-            // batches through the loop alone, so the warm-up covers
-            // exactly the steady-state path.
-            max_wait: std::time::Duration::ZERO,
-            policy: FlushPolicy::Deadline,
-            ..BatcherConfig::default()
-        })
-        .build()
-        .expect("in-memory service");
+    let service = Service::in_memory();
     let client = service.client_for_state(state);
     for _ in 0..4 {
         client.predict(6.0, &props).expect("warm-up");
     }
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..10 {
+    for _ in 0..20 {
         let pred = client.predict(6.0, &props).expect("steady state");
         assert!(pred.is_finite());
     }
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocs, 0,
-        "steady-state micro-batched submit path must not allocate"
+        "steady-state ModelClient::predict must not allocate"
     );
+    assert_eq!(client.batcher_stats().queries, 24);
 }
 
 #[test]
 fn steady_state_instrumented_memory_recall_is_allocation_free() {
     let _serial = serial();
     // Hub recalls are instrumented (telemetry counters on every path, a
-    // latency histogram on disk recalls). The memory-hit path — the one
-    // serving loops lean on per request — must stay allocation-free: a
+    // latency histogram on disk recalls). The memory-hit path — the one a
+    // server leans on per request — must stay allocation-free: a
     // registry lock, one counter `fetch_add`, an `Arc` clone.
     let samples = samples(24);
     let mut model = Bellamy::new(BellamyConfig::default(), 7);

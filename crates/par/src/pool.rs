@@ -44,21 +44,12 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `threads` workers.
+    /// Spawns a pool with `threads` workers named `bellamy-worker-<i>` (the
+    /// name shows up in debuggers and panic messages).
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self::named("bellamy-worker", threads)
-    }
-
-    /// Spawns a pool whose worker threads are named `<name>-<i>` — the name
-    /// shows up in debuggers and panic messages, which matters for
-    /// long-lived service threads (the serving loops in `bellamy-core`).
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn named(name: &str, threads: usize) -> Self {
         assert!(threads > 0, "a pool needs at least one worker");
         let (sender, receiver) = unbounded::<Job>();
         let pending = Arc::new(PendingCount {
@@ -70,7 +61,7 @@ impl ThreadPool {
                 let receiver = receiver.clone();
                 let pending = Arc::clone(&pending);
                 std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
+                    .name(format!("bellamy-worker-{i}"))
                     .spawn(move || {
                         while let Ok(job) = receiver.recv() {
                             // The guard decrements even when the job panics;
@@ -216,7 +207,7 @@ mod tests {
 
     #[test]
     fn named_pool_names_its_workers() {
-        let pool = ThreadPool::named("svc-test", 2);
+        let pool = ThreadPool::new(2);
         let (tx, rx) = crossbeam::channel::unbounded();
         for _ in 0..2 {
             let tx = tx.clone();
@@ -229,7 +220,10 @@ mod tests {
         drop(tx);
         for name in rx.iter() {
             let name = name.expect("worker threads are named");
-            assert!(name.starts_with("svc-test-"), "unexpected name {name}");
+            assert!(
+                name.starts_with("bellamy-worker-"),
+                "unexpected name {name}"
+            );
         }
     }
 

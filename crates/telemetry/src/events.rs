@@ -12,12 +12,9 @@ pub mod event_kind {
     pub const KERNEL_DEGRADED: &str = "kernel.degraded";
     /// A checkpoint failed to decode and was renamed out of the store.
     pub const CHECKPOINT_QUARANTINED: &str = "hub.quarantine";
-    /// A micro-batcher exceeded its panic budget and degraded to direct mode.
-    pub const BATCHER_DEGRADED: &str = "serve.degraded";
-    /// A serving loop observed a predictor panic.
+    /// A served query's forward pass panicked; the query failed with
+    /// `BellamyError::BatchPanicked`.
     pub const LOOP_PANIC: &str = "serve.panic";
-    /// A supervised serving loop was restarted after a panic.
-    pub const LOOP_RESTART: &str = "serve.restart";
     /// A deterministic failpoint fired an injected fault.
     pub const FAULT_INJECTED: &str = "fault.injected";
 }
@@ -35,7 +32,7 @@ pub struct Event {
 
 /// A bounded ring buffer of [`Event`]s. Recording takes a mutex and may
 /// allocate — this log is for rare events (degradations, quarantines,
-/// restarts), never for the per-query hot path.
+/// panics), never for the per-query hot path.
 pub struct EventLog {
     capacity: usize,
     seq: AtomicU64,
@@ -139,7 +136,7 @@ mod tests {
         log.record(event_kind::LOOP_PANIC, "boom");
         log.clear();
         assert!(log.is_empty());
-        let seq = log.record(event_kind::LOOP_RESTART, "up again");
+        let seq = log.record(event_kind::FAULT_INJECTED, "again");
         assert_eq!(seq, 1);
     }
 

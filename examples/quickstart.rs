@@ -8,7 +8,7 @@
 //! 3. **Fine-tune** through the service on a handful of runs from a *new*
 //!    context (the descendant records its parent for provenance).
 //! 4. **Serve**: predict runtimes at unseen scale-outs through the client —
-//!    single queries are micro-batched across all concurrent callers.
+//!    any number of threads can share it, each predicting on its own arena.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -112,8 +112,8 @@ fn main() {
             .map(|r| r.runtime_s)
             .collect();
         let actual_mean = actual.iter().sum::<f64>() / actual.len() as f64;
-        // Single queries route through the cross-caller micro-batcher.
-        let predicted = tuned.predict(x as f64, &props).expect("service is live");
+        // A single query runs on this thread's predictor arena.
+        let predicted = tuned.predict(x as f64, &props).expect("no panic");
         println!(
             "{:<10} {:>10.1}s {:>10.1}s {:>7.1}%",
             x,
@@ -124,7 +124,7 @@ fn main() {
     }
     let stats = tuned.batcher_stats();
     println!(
-        "\n(served {} queries in {} micro-batches)",
-        stats.queries, stats.batches
+        "\n(served {} queries, {} panics)",
+        stats.queries, stats.panics
     );
 }

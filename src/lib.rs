@@ -53,7 +53,7 @@
 //!
 //! For the full *recall → fine-tune → serve* reuse workflow (shared
 //! pretrained models, on-disk registry, fine-tuned-descendant cache,
-//! cross-caller micro-batched serving), go through the
+//! thread-safe serving clients), go through the
 //! [`core::serve::Service`] front door — see the [`prelude`] docs for the
 //! 5-line quickstart and the `quickstart` / `pretrain_finetune` examples
 //! for the long form.
@@ -126,21 +126,21 @@ pub use bellamy_telemetry as telemetry;
 /// # Ok::<(), BellamyError>(())
 /// ```
 ///
-/// Single-query `predict` calls are micro-batched **across callers**: any
-/// number of threads share one clonable client (or clones of it), and the
-/// serving loop coalesces their queries into one batched forward pass —
-/// bit-identical to direct [`Predictor`](bellamy_core::Predictor) calls.
+/// Any number of threads share one clonable client (or clones of it):
+/// each `predict` runs on the calling thread's own predictor against the
+/// shared snapshot, bit-identical to direct
+/// [`Predictor`](bellamy_core::Predictor) calls.
 pub mod prelude {
     pub use bellamy_baselines::{BellModel, ErnestModel, ScaleOutModel};
     pub use bellamy_core::finetune::{fine_tune, fit_local};
     pub use bellamy_core::train::pretrain;
     pub use bellamy_core::{
         cheapest_scale_out, context_properties, min_scale_out_meeting, search_pretrain,
-        BatcherConfig, BatcherStats, Bellamy, BellamyConfig, BellamyError, ContextProperties,
-        Event, FinetuneConfig, FinetunePolicy, FlushPolicy, HistogramSnapshot, HubError,
-        MetricValue, ModelClient, ModelHub, ModelKey, ModelState, PredictError, PredictQuery,
-        Predictor, PretrainConfig, ReuseStrategy, Sample, SearchSpace, Service, ServiceBuilder,
-        TelemetrySnapshot, TrainingSample,
+        BatcherStats, Bellamy, BellamyConfig, BellamyError, ContextProperties, Event,
+        FinetuneConfig, FinetunePolicy, HistogramSnapshot, HubError, MetricValue, ModelClient,
+        ModelHub, ModelKey, ModelState, PredictError, PredictQuery, Predictor, PretrainConfig,
+        ReuseStrategy, Sample, SearchSpace, Service, ServiceBuilder, TelemetrySnapshot,
+        TrainingSample,
     };
     pub use bellamy_data::{
         generate_bell, generate_c3o, ground_truth_profile, Algorithm, Dataset, Environment,
