@@ -73,14 +73,17 @@ pub struct PretrainConfig {
     /// Alpha-dropout probability inside the auto-encoder.
     pub dropout: f64,
     /// Worker threads computing minibatch gradients (`0` = one per
-    /// available core). Results are identical for any worker count with the
-    /// same effective shard count.
+    /// available core). Results are bit-identical for any worker count with
+    /// the same effective shard count.
     pub workers: usize,
     /// Data-parallel shards each minibatch is split into (`0` = one per
-    /// worker). Gradients reduce over shards in a fixed binary-tree order,
-    /// so a given shard count yields bit-identical results no matter how
-    /// many workers execute it; pin `shards` explicitly to reproduce runs
-    /// across machines with different core counts.
+    /// worker). Every row keeps its dropout mask whatever the split, and
+    /// gradients reduce over shards in a fixed binary-tree order, so the
+    /// shard count changes only the floating-point rounding of that
+    /// reduction (which a long run can still amplify), and a given shard
+    /// count yields bit-identical results no matter how many workers
+    /// execute it. Pin `shards` explicitly for bit-identical runs across
+    /// machines with different core counts.
     pub shards: usize,
 }
 

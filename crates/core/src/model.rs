@@ -17,7 +17,7 @@ use bellamy_linalg::{BufferPool, Matrix};
 use bellamy_nn::{AlphaDropout, Checkpoint, CheckpointError, Graph, GraphArena, Linear, ParamSet};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,7 +236,9 @@ impl Layers {
     }
 
     /// Runs the training forward pass for a batch. `dropout` applies
-    /// alpha-dropout between the auto-encoder layers (pre-training only).
+    /// alpha-dropout between the auto-encoder layers (pre-training only),
+    /// drawing the encoder mask and then the decoder mask row-major from
+    /// the given source.
     ///
     /// The shared auto-encoder runs **once** over the property-stacked
     /// matrix (`(m+n)·batch x N`); per-property codes are recovered with row
@@ -245,12 +247,12 @@ impl Layers {
     /// are combined and regressed by the same helpers the two prediction
     /// stages use. The pass allocates nothing once the graph's arena is
     /// warm.
-    pub fn forward(
+    pub fn forward<R: Rng>(
         &self,
         config: &BellamyConfig,
         g: &mut Graph<'_>,
         batch: &BatchTensors,
-        dropout: Option<(f64, &mut StdRng)>,
+        dropout: Option<(f64, &mut R)>,
     ) -> ForwardOut {
         let (drop_p, rng) = match dropout {
             Some((p, rng)) => (p, Some(rng)),
@@ -709,11 +711,11 @@ impl Bellamy {
     }
 
     /// Training forward pass (see [`Layers::forward`]).
-    pub(crate) fn forward(
+    pub(crate) fn forward<R: Rng>(
         &self,
         g: &mut Graph<'_>,
         batch: &BatchTensors,
-        dropout: Option<(f64, &mut StdRng)>,
+        dropout: Option<(f64, &mut R)>,
     ) -> ForwardOut {
         self.layers.forward(&self.config, g, batch, dropout)
     }
@@ -1018,7 +1020,7 @@ mod tests {
         let encoded = model.encode_samples(&samples);
         let batch = model.make_batch(&encoded, &[0, 1, 2, 3]);
         let mut graph = Graph::new(model.params());
-        let out = model.forward(&mut graph, &batch, None);
+        let out = model.forward::<StdRng>(&mut graph, &batch, None);
         assert_eq!(graph.value(out.pred).shape(), (4, 1));
         assert_eq!(graph.value(out.recon).shape(), (1, 1));
         assert!(graph.value(out.pred).all_finite());

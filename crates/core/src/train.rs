@@ -9,14 +9,19 @@
 //!
 //! [`Pretrainer`] owns all per-step state: each of its gradient **shards**
 //! keeps a reusable graph arena, gradient workspace, and batch tensors.
-//! A step splits the minibatch into `shards` contiguous slices, fans the
-//! forward/backward passes out over a persistent
-//! [`bellamy_par::WorkTeam`], and reduces the per-shard gradient maps on
-//! the coordinating thread in a **fixed binary-tree order** — so results
-//! are bit-identical for any worker count, and deterministic run-to-run
-//! for a fixed seed. After the first epoch warms the arenas and pools, a
-//! step performs zero heap allocations (verified by the counting-allocator
-//! test in `tests/zero_alloc.rs`).
+//! A step draws the whole minibatch's alpha-dropout masks once, on the
+//! coordinating thread, from one stream per `(epoch, step)`; splits the
+//! minibatch into `shards` contiguous slices; fans the forward/backward
+//! passes out over a persistent [`bellamy_par::WorkTeam`], each shard
+//! replaying the mask draws of its own rows; and reduces the per-shard
+//! gradient maps on the coordinating thread in a **fixed binary-tree
+//! order**. So a training row gets the same mask whatever the shard count,
+//! and the shard count changes only the floating-point rounding of the
+//! reduction; results are bit-identical for any worker count at a fixed
+//! shard count, and deterministic run-to-run for a fixed seed. After the
+//! first epoch warms the arenas and pools, a step performs zero heap
+//! allocations (verified by the counting-allocator test in
+//! `tests/zero_alloc.rs`).
 
 use crate::config::PretrainConfig;
 use crate::features::TrainingSample;
@@ -25,7 +30,7 @@ use bellamy_linalg::BufferPool;
 use bellamy_nn::{metrics, Adam, AdamConfig, GradWorkspace, Graph, GraphArena};
 use bellamy_par::WorkTeam;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{Rng, RngExt, SeedableRng};
 use std::cell::UnsafeCell;
 use std::time::Instant;
 
@@ -97,6 +102,10 @@ pub struct Pretrainer {
     cfg: PretrainConfig,
     epoch: usize,
     dropout: f64,
+    /// One step's alpha-dropout draws for the whole minibatch (see
+    /// [`MaskReplay`]). Sized by the first step, whose batch is the
+    /// largest, so a fit that never steps holds none.
+    mask_draws: Vec<u64>,
     diverged: bool,
     /// Pre-step parameter snapshot: the rollback target when an optimizer
     /// update overflows to non-finite values (a ~13 KB in-place copy per
@@ -141,6 +150,7 @@ impl Pretrainer {
             cfg: *cfg,
             epoch: 0,
             dropout: cfg.dropout,
+            mask_draws: Vec::new(),
             diverged: false,
             snapshot: model.params().clone(),
         }
@@ -224,9 +234,25 @@ impl Pretrainer {
         let b = chunk.len();
         let n_shards = self.shards.0.len().min(b);
         let per_shard = b.div_ceil(n_shards);
-        let delta = model.config().huber_delta;
+        let mc = model.config();
+        let (delta, hidden) = (mc.huber_delta, mc.hidden_dim);
+        let stacked_rows = (mc.essential_props + mc.optional_props) * b;
         let dropout = self.dropout;
-        let (epoch, seed) = (self.epoch, self.seed);
+
+        // The minibatch's masks come from one stream, drawn in the order a
+        // single shard consumes them, so no row's mask depends on the split.
+        let draws: &[u64] = if dropout > 0.0 {
+            let len = 2 * stacked_rows * hidden;
+            if self.mask_draws.len() < len {
+                self.mask_draws.resize(len, 0);
+            }
+            let draws = &mut self.mask_draws[..len];
+            let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, self.epoch, step));
+            draws.fill_with(|| rng.next_u64());
+            draws
+        } else {
+            &[]
+        };
 
         {
             // Fan the shard passes out; exclusive access per claimed index.
@@ -248,10 +274,8 @@ impl Pretrainer {
                 model.make_batch_into(encoded, &chunk[lo..hi], &mut shard.batch, &mut shard.pool);
                 let mut graph =
                     Graph::from_arena(shard.arena.take().expect("arena parked"), model.params());
-                // Dropout masks draw from a per-(epoch, step, shard) stream,
-                // so the trajectory is independent of scheduling.
-                let mut rng = StdRng::seed_from_u64(mix_seed(seed, epoch, step, s));
-                let dropout = (dropout > 0.0).then_some((dropout, &mut rng));
+                let mut masks = MaskReplay::new(draws, b * hidden, lo * hidden, hi * hidden);
+                let dropout = (dropout > 0.0).then_some((dropout, &mut masks));
                 let out = model.forward(&mut graph, &shard.batch, dropout);
                 let huber = graph
                     .tape
@@ -328,7 +352,7 @@ impl Pretrainer {
         let batch = model.make_batch(&self.encoded, chunk);
         let mut graph = Graph::new(model.params());
         graph.tape.set_reference_scalars(true);
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, self.epoch, step, 0));
+        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, self.epoch, step));
         let dropout = (self.dropout > 0.0).then_some((self.dropout, &mut rng));
         let out = model.forward_legacy(&mut graph, &batch, dropout);
         let huber = graph
@@ -354,13 +378,60 @@ impl Pretrainer {
     }
 }
 
-/// Derives the dropout stream for one (epoch, step, shard) cell from the
-/// master seed (SplitMix64-style finalizer over the packed coordinates).
-fn mix_seed(seed: u64, epoch: usize, step: usize, shard: usize) -> u64 {
+/// One shard's view of a step's minibatch-wide dropout draws.
+///
+/// The forward pass draws its masks row-major over the property-stacked
+/// matrix: for the minibatch, `(m+n)·b × hidden` draws for the encoder
+/// mask, then as many for the decoder mask — `2·(m+n)` row blocks of
+/// `b·hidden` draws. A shard holding minibatch rows `lo..hi` stacks only
+/// those rows, so it replays the span `lo·hidden..hi·hidden` of every
+/// block, in block order. With one shard the spans cover the buffer
+/// contiguously and the replay is the stream itself.
+struct MaskReplay<'a> {
+    draws: &'a [u64],
+    /// Next draw to replay.
+    pos: usize,
+    /// End of the span being replayed.
+    end: usize,
+    /// Draws per span: `(hi - lo)·hidden`.
+    span: usize,
+    /// Skip from one span's end to the next span's start:
+    /// `(b - (hi - lo))·hidden`.
+    gap: usize,
+}
+
+impl<'a> MaskReplay<'a> {
+    /// Replays draws `lo..hi` of every `block`-long row block of `draws`.
+    fn new(draws: &'a [u64], block: usize, lo: usize, hi: usize) -> Self {
+        Self {
+            draws,
+            pos: lo,
+            end: hi,
+            span: hi - lo,
+            gap: block - (hi - lo),
+        }
+    }
+}
+
+impl Rng for MaskReplay<'_> {
+    fn next_u64(&mut self) -> u64 {
+        if self.pos == self.end {
+            self.pos += self.gap;
+            self.end = self.pos + self.span;
+        }
+        let draw = self.draws[self.pos];
+        self.pos += 1;
+        draw
+    }
+}
+
+/// Derives the dropout stream of one minibatch step — its encoder and
+/// decoder masks for every row — from the master seed (SplitMix64-style
+/// finalizer over the packed coordinates).
+fn mix_seed(seed: u64, epoch: usize, step: usize) -> u64 {
     let mut z = seed
         ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (step as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ (shard as u64).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ^ (step as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -503,6 +574,36 @@ mod tests {
         assert_eq!(sequential, parallel, "worker count must not change results");
         let two_workers = run(2, 4);
         assert_eq!(sequential, two_workers);
+    }
+
+    #[test]
+    fn shard_count_does_not_change_the_trained_model() {
+        // Dropout masks belong to minibatch rows, not to shards: with the
+        // default dropout, every shard count trains the model one shard
+        // trains, up to the re-association of the gradient reduction.
+        assert!(PretrainConfig::default().dropout > 0.0);
+        let samples = sgd_cross_context_samples(1);
+        let run = |shards: usize| {
+            let cfg = PretrainConfig {
+                epochs: 8,
+                workers: 1,
+                shards,
+                ..PretrainConfig::default()
+            };
+            let mut model = Bellamy::new(BellamyConfig::default(), 17);
+            let report = pretrain(&mut model, &samples, &cfg, 23);
+            (
+                report.final_loss,
+                model.predict(6.0, &samples[0].props).unwrap(),
+            )
+        };
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+        let (loss, pred) = run(1);
+        for shards in 2..=4 {
+            let (l, p) = run(shards);
+            assert!(close(l, loss), "{shards} shards: loss {l} vs {loss}");
+            assert!(close(p, pred), "{shards} shards: prediction {p} vs {pred}");
+        }
     }
 
     #[test]
