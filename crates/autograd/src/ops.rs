@@ -87,8 +87,8 @@ pub(crate) fn fast_exp_core(x: f64) -> f64 {
 /// NaN propagates.
 ///
 /// When the SIMD kernel backend is active (see
-/// [`bellamy_linalg::kernels`]) the loop runs four (AVX2) or two (NEON)
-/// lanes at a time — still bit-identical, see [`crate::simd`].
+/// [`bellamy_linalg::kernels`]) the loop runs four AVX2 lanes at a time —
+/// still bit-identical, see [`crate::simd`].
 pub fn fast_exp_slice_in_place(xs: &mut [f64]) {
     if crate::simd::dispatch_exp_slice(xs) {
         return;
@@ -491,19 +491,8 @@ mod tests {
         }
     }
 
-    /// The bitwise slice-vs-scalar contract below holds on the **Exact**
-    /// tiers only; under `BELLAMY_KERNEL=fma` the dispatched slice kernels
-    /// deliberately fuse rounding steps and promise a ULP envelope instead
-    /// (pinned by `tests/fma_ulp.rs`).
-    fn fast_tier_active() -> bool {
-        bellamy_linalg::kernels::active_backend() == bellamy_linalg::kernels::Backend::Fma
-    }
-
     #[test]
     fn exp_slice_matches_scalar_bitwise_in_range() {
-        if fast_tier_active() {
-            return;
-        }
         let xs: Vec<f64> = (-7080..=7080).map(|i| i as f64 * 0.1).collect();
         let mut slice = xs.clone();
         fast_exp_slice_in_place(&mut slice);
@@ -517,9 +506,6 @@ mod tests {
 
     #[test]
     fn tanh_slice_matches_scalar_bitwise() {
-        if fast_tier_active() {
-            return;
-        }
         let xs: Vec<f64> = (-4000..=4000).map(|i| i as f64 * 0.01).collect();
         let mut slice = xs.clone();
         fast_tanh_slice_in_place(&mut slice);
@@ -530,9 +516,6 @@ mod tests {
 
     #[test]
     fn apply_slice_matches_scalar_apply_bitwise() {
-        if fast_tier_active() {
-            return;
-        }
         let xs: Vec<f64> = (-2000..=2000)
             .map(|i| i as f64 * 0.013)
             .chain([0.0, -0.0, 1e-300, -1e-300, -50.0, -800.0, 800.0])

@@ -1,8 +1,8 @@
-//! Lane-parallel activation slice kernels (AVX2 / NEON).
+//! Lane-parallel activation slice kernels (AVX2).
 //!
 //! The same Cephes-style polynomial cores as [`crate::ops`], evaluated four
-//! (`__m256d`) or two (`float64x2_t`) lanes at a time. **Bit-identical** to
-//! the scalar slice kernels per element:
+//! lanes (`__m256d`) at a time. **Bit-identical** to the scalar slice
+//! kernels per element:
 //!
 //! - the polynomial coefficients are the shared `ops::EXP_*` constants and
 //!   every arithmetic step mirrors the scalar expression tree exactly — no
@@ -11,214 +11,105 @@
 //!   (`mantissa & mask`, wrapping sub/add, `<< 52`) on each lane;
 //! - clamp/max/select use the lane operations whose NaN semantics match the
 //!   scalar code: `clamp` keeps the NaN operand (x86 `min/max` return the
-//!   second operand on NaN, so the constant goes first; NEON uses
-//!   compare+select), `f64::max`'s NaN-ignoring behaviour maps to the same
-//!   x86 operand ordering / NEON `vmaxnmq`, and the final `v > 0.0` /
-//!   `is_nan` selects are explicit masks, exactly like the scalar branches.
+//!   second operand on NaN, so the constant goes first), `f64::max`'s
+//!   NaN-ignoring behaviour maps to the same operand ordering, and the final
+//!   `v > 0.0` / `is_nan` selects are explicit masks, exactly like the
+//!   scalar branches.
 //!
-//! Ragged tails (`len % lanes != 0`) fall through to the scalar loops in
+//! Ragged tails (`len % 4 != 0`) fall through to the scalar loops in
 //! [`crate::ops`], which compute the identical values.
 //!
 //! The `dispatch_*` functions consult the process-wide
 //! [`bellamy_linalg::kernels`] backend so the activation path flips together
 //! with the matmul path (`BELLAMY_KERNEL` covers both). The `force_*`
 //! functions ignore the backend selection and are meant for tests that pin
-//! the SIMD path explicitly.
-//!
-//! # Fast tier (`Backend::Fma`)
-//!
-//! When the resolved backend is the FMA tier, `dispatch_*` routes to the
-//! `force_*_slice_fma` kernels instead: the same polynomial cores with every
-//! `a*b + c` step contracted to a fused multiply-add
-//! (`_mm256_fmadd_pd`/`_mm256_fnmadd_pd`, `vfmaq_f64`/`vfmsq_f64`). These
-//! are **not** bit-identical to the scalar cores — they carry the documented
-//! ULP envelope of [`bellamy_linalg::kernels`]'s Fast tier (a few ULP on the
-//! activation output; special values NaN/±inf/±0 still propagate
-//! identically, because the clamp/select/sign steps are untouched). Ragged
-//! tails still fall through to the exact scalar loops.
+//! the SIMD path explicitly. Without AVX2 (on any architecture) every entry
+//! point returns `false` and the caller runs the scalar loops.
 
 use bellamy_linalg::kernels::{active_backend, Backend};
 
-/// Runs the vector exp slice kernel matching the active backend, if
-/// supported. Returns `false` (slice untouched) otherwise.
+/// Runs the vector exp slice kernel when the active backend is SIMD.
+/// Returns `false` (slice untouched) otherwise.
 #[inline]
 pub fn dispatch_exp_slice(xs: &mut [f64]) -> bool {
     match active_backend() {
         Backend::Simd => force_exp_slice(xs),
-        Backend::Fma => force_exp_slice_fma(xs),
         Backend::Scalar => false,
     }
 }
 
-/// Runs the vector tanh slice kernel matching the active backend, if
-/// supported. Returns `false` (slice untouched) otherwise.
+/// Runs the vector tanh slice kernel when the active backend is SIMD.
+/// Returns `false` (slice untouched) otherwise.
 #[inline]
 pub fn dispatch_tanh_slice(xs: &mut [f64]) -> bool {
     match active_backend() {
         Backend::Simd => force_tanh_slice(xs),
-        Backend::Fma => force_tanh_slice_fma(xs),
         Backend::Scalar => false,
     }
 }
 
-/// Runs the vector SELU slice kernel matching the active backend, if
-/// supported. Returns `false` (slice untouched) otherwise.
+/// Runs the vector SELU slice kernel when the active backend is SIMD.
+/// Returns `false` (slice untouched) otherwise.
 #[inline]
 pub fn dispatch_selu_slice(xs: &mut [f64]) -> bool {
     match active_backend() {
         Backend::Simd => force_selu_slice(xs),
-        Backend::Fma => force_selu_slice_fma(xs),
         Backend::Scalar => false,
     }
 }
 
-/// Runs the SIMD exp slice kernel whenever the CPU supports it, regardless
+/// Runs the AVX2 exp slice kernel whenever the CPU supports it, regardless
 /// of `BELLAMY_KERNEL`. Returns `false` (slice untouched) when the CPU has
-/// no supported vector unit. Bit-identical to
-/// [`crate::ops::fast_exp_slice_in_place`].
+/// no AVX2. Bit-identical to [`crate::ops::fast_exp_slice_in_place`].
 pub fn force_exp_slice(xs: &mut [f64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 just detected.
+            // SAFETY: `avx2::exp_slice` needs only AVX2, detected just above.
             unsafe { avx2::exp_slice(xs) };
             return true;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::exp_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
+    let _ = xs;
+    false
 }
 
-/// Runs the SIMD tanh slice kernel whenever the CPU supports it (see
+/// Runs the AVX2 tanh slice kernel whenever the CPU supports it (see
 /// [`force_exp_slice`]). Bit-identical to
 /// [`crate::ops::fast_tanh_slice_in_place`].
 pub fn force_tanh_slice(xs: &mut [f64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 just detected.
+            // SAFETY: `avx2::tanh_slice` needs only AVX2, detected just above.
             unsafe { avx2::tanh_slice(xs) };
             return true;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::tanh_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
+    let _ = xs;
+    false
 }
 
-/// Runs the SIMD SELU slice kernel whenever the CPU supports it (see
+/// Runs the AVX2 SELU slice kernel whenever the CPU supports it (see
 /// [`force_exp_slice`]). Bit-identical to the scalar SELU slice kernel
 /// behind `Activation::Selu.apply_slice_in_place`.
 pub fn force_selu_slice(xs: &mut [f64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 just detected.
+            // SAFETY: `avx2::selu_slice` needs only AVX2, detected just above.
             unsafe { avx2::selu_slice(xs) };
             return true;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::selu_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
+    let _ = xs;
+    false
 }
 
-/// Runs the FMA-contracted exp slice kernel whenever the CPU supports it,
-/// regardless of `BELLAMY_KERNEL`. Returns `false` (slice untouched) when
-/// the CPU lacks FMA. **Fast tier**: a few ULP from the scalar core, same
-/// special-value propagation.
-pub fn force_exp_slice_fma(xs: &mut [f64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: AVX2 + FMA just detected.
-            unsafe { avx2fma::exp_slice(xs) };
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neonfma::exp_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
-}
-
-/// Runs the FMA-contracted tanh slice kernel whenever the CPU supports it
-/// (see [`force_exp_slice_fma`]).
-pub fn force_tanh_slice_fma(xs: &mut [f64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: AVX2 + FMA just detected.
-            unsafe { avx2fma::tanh_slice(xs) };
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neonfma::tanh_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
-}
-
-/// Runs the FMA-contracted SELU slice kernel whenever the CPU supports it
-/// (see [`force_exp_slice_fma`]).
-pub fn force_selu_slice_fma(xs: &mut [f64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: AVX2 + FMA just detected.
-            unsafe { avx2fma::selu_slice(xs) };
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neonfma::selu_slice(xs);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = xs;
-        false
-    }
-}
-
+/// The AVX2 cores. Every function is `#[target_feature(enable = "avx2")]`,
+/// so a caller must first detect AVX2, as the `force_*` wrappers do.
+/// Pointer reads and writes stay inside the slice: the vector loops run
+/// while `i + 4 <= xs.len()`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use crate::ops::{
@@ -229,6 +120,10 @@ mod avx2 {
     /// Four-lane [`ops::fast_exp_core`]: same Cody–Waite reduction, same
     /// [2/3] Padé, same magic-constant rounding and integer exponent
     /// reconstruction — per-lane bit-identical to the scalar.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn exp_core_pd(x: __m256d) -> __m256d {
@@ -292,12 +187,21 @@ mod avx2 {
     /// Rust-`clamp`-semantics lane clamp (NaN passes through with payload):
     /// the constant goes *first* in x86 `min/max`, which return the second
     /// operand on NaN.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn clamp_pd(v: __m256d, lo: f64, hi: f64) -> __m256d {
         _mm256_min_pd(_mm256_set1_pd(hi), _mm256_max_pd(_mm256_set1_pd(lo), v))
     }
 
+    /// Four-lane [`ops::fast_exp_slice_scalar`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exp_slice(xs: &mut [f64]) {
         let n = xs.len();
@@ -311,6 +215,11 @@ mod avx2 {
         ops::fast_exp_slice_scalar(&mut xs[i..]);
     }
 
+    /// Four-lane [`ops::fast_tanh_slice_scalar`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn tanh_slice(xs: &mut [f64]) {
         let sign = _mm256_set1_pd(-0.0);
@@ -382,6 +291,11 @@ mod avx2 {
         ops::fast_tanh_slice_scalar(&mut xs[i..]);
     }
 
+    /// Four-lane SELU, bit-identical to [`ops::selu_slice_scalar`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn selu_slice(xs: &mut [f64]) {
         // λα computed exactly as the scalar's `SELU_LAMBDA * SELU_ALPHA *
@@ -402,496 +316,6 @@ mod avx2 {
             let gt = _mm256_cmp_pd(v, zero, _CMP_GT_OQ);
             _mm256_storeu_pd(p.add(i), _mm256_blendv_pd(neg, pos, gt));
             i += 4;
-        }
-        ops::selu_slice_scalar(&mut xs[i..]);
-    }
-}
-
-/// FMA-contracted activation cores — the Fast tier on `x86_64`. Same
-/// Cody–Waite reduction, Padé ratio and integer exponent reconstruction as
-/// [`avx2`], but every `a*b + c` pair fuses into one rounding
-/// (`_mm256_fmadd_pd` / `_mm256_fnmadd_pd`). Clamp/select/sign steps are
-/// byte-for-byte the exact kernels', so NaN/±inf/±0 propagation is
-/// unchanged; only the polynomial arithmetic drifts, by a few ULP.
-#[cfg(target_arch = "x86_64")]
-mod avx2fma {
-    use crate::ops::{
-        self, EXP_C1, EXP_C2, EXP_LOG2E, EXP_MAGIC, EXP_P, EXP_Q, SELU_ALPHA, SELU_LAMBDA,
-    };
-    use std::arch::x86_64::*;
-
-    /// Four-lane [`ops::fast_exp_core`] with fused steps: `t` fuses the
-    /// log2e scale into the magic add, `r` uses two `fnmadd`s for the
-    /// Cody–Waite subtraction, and both Padé halves are `fmadd` Horner
-    /// chains.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp_core_pd(x: __m256d) -> __m256d {
-        let magic = _mm256_set1_pd(EXP_MAGIC);
-        let t = _mm256_fmadd_pd(_mm256_set1_pd(EXP_LOG2E), x, magic);
-        let n = _mm256_sub_pd(t, magic);
-        // r = x - n*C1 - n*C2, each subtraction fused.
-        let r = _mm256_fnmadd_pd(
-            n,
-            _mm256_set1_pd(EXP_C2),
-            _mm256_fnmadd_pd(n, _mm256_set1_pd(EXP_C1), x),
-        );
-        let rr = _mm256_mul_pd(r, r);
-        // p = r * ((P0*rr + P1)*rr + P2), Horner steps fused.
-        let p = _mm256_mul_pd(
-            r,
-            _mm256_fmadd_pd(
-                _mm256_fmadd_pd(_mm256_set1_pd(EXP_P[0]), rr, _mm256_set1_pd(EXP_P[1])),
-                rr,
-                _mm256_set1_pd(EXP_P[2]),
-            ),
-        );
-        // q = ((Q0*rr + Q1)*rr + Q2)*rr + Q3, Horner steps fused.
-        let q = _mm256_fmadd_pd(
-            _mm256_fmadd_pd(
-                _mm256_fmadd_pd(_mm256_set1_pd(EXP_Q[0]), rr, _mm256_set1_pd(EXP_Q[1])),
-                rr,
-                _mm256_set1_pd(EXP_Q[2]),
-            ),
-            rr,
-            _mm256_set1_pd(EXP_Q[3]),
-        );
-        // e = 1 + 2p/(q - p)
-        let e = _mm256_add_pd(
-            _mm256_set1_pd(1.0),
-            _mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), p), _mm256_sub_pd(q, p)),
-        );
-        // 2^n reconstruction — integer ops, identical to the exact kernel.
-        let bits = _mm256_castpd_si256(t);
-        let mant = _mm256_and_si256(bits, _mm256_set1_epi64x(((1u64 << 52) - 1) as i64));
-        let expn = _mm256_add_epi64(
-            _mm256_sub_epi64(mant, _mm256_set1_epi64x(1i64 << 51)),
-            _mm256_set1_epi64x(1023),
-        );
-        let scale = _mm256_castsi256_pd(_mm256_slli_epi64(expn, 52));
-        _mm256_mul_pd(e, scale)
-    }
-
-    /// Rust-`clamp`-semantics lane clamp, as in the exact kernel.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn clamp_pd(v: __m256d, lo: f64, hi: f64) -> __m256d {
-        _mm256_min_pd(_mm256_set1_pd(hi), _mm256_max_pd(_mm256_set1_pd(lo), v))
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn exp_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(p.add(i));
-            _mm256_storeu_pd(p.add(i), exp_core_pd(clamp_pd(v, -708.0, 708.0)));
-            i += 4;
-        }
-        ops::fast_exp_slice_scalar(&mut xs[i..]);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn tanh_slice(xs: &mut [f64]) {
-        let sign = _mm256_set1_pd(-0.0);
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = _mm256_loadu_pd(p.add(i));
-            // z = max(-2|x|, -40): same NaN-operand ordering as the exact
-            // kernel.
-            let absx = _mm256_andnot_pd(sign, x);
-            let z = _mm256_max_pd(
-                _mm256_mul_pd(_mm256_set1_pd(-2.0), absx),
-                _mm256_set1_pd(-40.0),
-            );
-            let magic = _mm256_set1_pd(EXP_MAGIC);
-            let t = _mm256_fmadd_pd(_mm256_set1_pd(EXP_LOG2E), z, magic);
-            let nn = _mm256_sub_pd(t, magic);
-            let r = _mm256_fnmadd_pd(
-                nn,
-                _mm256_set1_pd(EXP_C2),
-                _mm256_fnmadd_pd(nn, _mm256_set1_pd(EXP_C1), z),
-            );
-            let rr = _mm256_mul_pd(r, r);
-            let pp = _mm256_mul_pd(
-                r,
-                _mm256_fmadd_pd(
-                    _mm256_fmadd_pd(_mm256_set1_pd(EXP_P[0]), rr, _mm256_set1_pd(EXP_P[1])),
-                    rr,
-                    _mm256_set1_pd(EXP_P[2]),
-                ),
-            );
-            let q = _mm256_fmadd_pd(
-                _mm256_fmadd_pd(
-                    _mm256_fmadd_pd(_mm256_set1_pd(EXP_Q[0]), rr, _mm256_set1_pd(EXP_Q[1])),
-                    rr,
-                    _mm256_set1_pd(EXP_Q[2]),
-                ),
-                rr,
-                _mm256_set1_pd(EXP_Q[3]),
-            );
-            let bits = _mm256_castpd_si256(t);
-            let mant = _mm256_and_si256(bits, _mm256_set1_epi64x(((1u64 << 52) - 1) as i64));
-            let expn = _mm256_add_epi64(
-                _mm256_sub_epi64(mant, _mm256_set1_epi64x(1i64 << 51)),
-                _mm256_set1_epi64x(1023),
-            );
-            let scale = _mm256_castsi256_pd(_mm256_slli_epi64(expn, 52));
-            let den = _mm256_sub_pd(q, pp);
-            let num = _mm256_mul_pd(scale, _mm256_add_pd(q, pp));
-            let y = _mm256_div_pd(_mm256_sub_pd(den, num), _mm256_add_pd(den, num));
-            // copysign(y, x), then x where x is NaN — exact-kernel selects.
-            let signed = _mm256_or_pd(_mm256_andnot_pd(sign, y), _mm256_and_pd(sign, x));
-            let is_nan = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
-            _mm256_storeu_pd(p.add(i), _mm256_blendv_pd(signed, x, is_nan));
-            i += 4;
-        }
-        ops::fast_tanh_slice_scalar(&mut xs[i..]);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn selu_slice(xs: &mut [f64]) {
-        let lambda_alpha = _mm256_set1_pd(SELU_LAMBDA * SELU_ALPHA);
-        let lambda = _mm256_set1_pd(SELU_LAMBDA);
-        let zero = _mm256_setzero_pd();
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(p.add(i));
-            let e = exp_core_pd(clamp_pd(v, -708.0, 0.0));
-            // neg = λα·e − λα, fused (the exact kernel computes
-            // λα·(e − 1)); both are within one rounding of each other.
-            let neg = _mm256_fmsub_pd(lambda_alpha, e, lambda_alpha);
-            let pos = _mm256_mul_pd(lambda, v);
-            let gt = _mm256_cmp_pd(v, zero, _CMP_GT_OQ);
-            _mm256_storeu_pd(p.add(i), _mm256_blendv_pd(neg, pos, gt));
-            i += 4;
-        }
-        ops::selu_slice_scalar(&mut xs[i..]);
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use crate::ops::{
-        self, EXP_C1, EXP_C2, EXP_LOG2E, EXP_MAGIC, EXP_P, EXP_Q, SELU_ALPHA, SELU_LAMBDA,
-    };
-    use std::arch::aarch64::*;
-
-    /// Two-lane [`ops::fast_exp_core`]; see the AVX2 variant for the
-    /// bit-identity notes. No `vfma` — separate rounded multiply and add.
-    #[inline]
-    unsafe fn exp_core_f64x2(x: float64x2_t) -> float64x2_t {
-        let magic = vdupq_n_f64(EXP_MAGIC);
-        let t = vaddq_f64(vmulq_f64(vdupq_n_f64(EXP_LOG2E), x), magic);
-        let n = vsubq_f64(t, magic);
-        let r = vsubq_f64(
-            vsubq_f64(x, vmulq_f64(n, vdupq_n_f64(EXP_C1))),
-            vmulq_f64(n, vdupq_n_f64(EXP_C2)),
-        );
-        let rr = vmulq_f64(r, r);
-        let p = vmulq_f64(
-            r,
-            vaddq_f64(
-                vmulq_f64(
-                    vaddq_f64(vmulq_f64(vdupq_n_f64(EXP_P[0]), rr), vdupq_n_f64(EXP_P[1])),
-                    rr,
-                ),
-                vdupq_n_f64(EXP_P[2]),
-            ),
-        );
-        let q = vaddq_f64(
-            vmulq_f64(
-                vaddq_f64(
-                    vmulq_f64(
-                        vaddq_f64(vmulq_f64(vdupq_n_f64(EXP_Q[0]), rr), vdupq_n_f64(EXP_Q[1])),
-                        rr,
-                    ),
-                    vdupq_n_f64(EXP_Q[2]),
-                ),
-                rr,
-            ),
-            vdupq_n_f64(EXP_Q[3]),
-        );
-        let e = vaddq_f64(
-            vdupq_n_f64(1.0),
-            vdivq_f64(vmulq_f64(vdupq_n_f64(2.0), p), vsubq_f64(q, p)),
-        );
-        let bits = vreinterpretq_u64_f64(t);
-        let mant = vandq_u64(bits, vdupq_n_u64((1u64 << 52) - 1));
-        let expn = vaddq_u64(vsubq_u64(mant, vdupq_n_u64(1 << 51)), vdupq_n_u64(1023));
-        let scale = vreinterpretq_f64_u64(vshlq_n_u64::<52>(expn));
-        vmulq_f64(e, scale)
-    }
-
-    /// Rust-`clamp`-semantics lane clamp: compare+select keeps NaN lanes
-    /// (with payload) exactly like the scalar `f64::clamp`.
-    #[inline]
-    unsafe fn clamp_f64x2(v: float64x2_t, lo: f64, hi: f64) -> float64x2_t {
-        let vlo = vdupq_n_f64(lo);
-        let vhi = vdupq_n_f64(hi);
-        let t = vbslq_f64(vcltq_f64(v, vlo), vlo, v);
-        vbslq_f64(vcgtq_f64(t, vhi), vhi, t)
-    }
-
-    pub(super) fn exp_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let v = vld1q_f64(p.add(i));
-                vst1q_f64(p.add(i), exp_core_f64x2(clamp_f64x2(v, -708.0, 708.0)));
-            }
-            i += 2;
-        }
-        ops::fast_exp_slice_scalar(&mut xs[i..]);
-    }
-
-    pub(super) fn tanh_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let x = vld1q_f64(p.add(i));
-                // z = max(-2|x|, -40): vmaxnm implements f64::max's
-                // NaN-ignoring (maxNum) semantics.
-                let z = vmaxnmq_f64(
-                    vmulq_f64(vdupq_n_f64(-2.0), vabsq_f64(x)),
-                    vdupq_n_f64(-40.0),
-                );
-                let magic = vdupq_n_f64(EXP_MAGIC);
-                let t = vaddq_f64(vmulq_f64(vdupq_n_f64(EXP_LOG2E), z), magic);
-                let nn = vsubq_f64(t, magic);
-                let r = vsubq_f64(
-                    vsubq_f64(z, vmulq_f64(nn, vdupq_n_f64(EXP_C1))),
-                    vmulq_f64(nn, vdupq_n_f64(EXP_C2)),
-                );
-                let rr = vmulq_f64(r, r);
-                let pp = vmulq_f64(
-                    r,
-                    vaddq_f64(
-                        vmulq_f64(
-                            vaddq_f64(vmulq_f64(vdupq_n_f64(EXP_P[0]), rr), vdupq_n_f64(EXP_P[1])),
-                            rr,
-                        ),
-                        vdupq_n_f64(EXP_P[2]),
-                    ),
-                );
-                let q = vaddq_f64(
-                    vmulq_f64(
-                        vaddq_f64(
-                            vmulq_f64(
-                                vaddq_f64(
-                                    vmulq_f64(vdupq_n_f64(EXP_Q[0]), rr),
-                                    vdupq_n_f64(EXP_Q[1]),
-                                ),
-                                rr,
-                            ),
-                            vdupq_n_f64(EXP_Q[2]),
-                        ),
-                        rr,
-                    ),
-                    vdupq_n_f64(EXP_Q[3]),
-                );
-                let bits = vreinterpretq_u64_f64(t);
-                let mant = vandq_u64(bits, vdupq_n_u64((1u64 << 52) - 1));
-                let expn = vaddq_u64(vsubq_u64(mant, vdupq_n_u64(1 << 51)), vdupq_n_u64(1023));
-                let scale = vreinterpretq_f64_u64(vshlq_n_u64::<52>(expn));
-                let den = vsubq_f64(q, pp);
-                let num = vmulq_f64(scale, vaddq_f64(q, pp));
-                let y = vdivq_f64(vsubq_f64(den, num), vaddq_f64(den, num));
-                // copysign(y, x): sign bit from x, magnitude bits from y.
-                let sign = vdupq_n_u64(0x8000_0000_0000_0000);
-                let signed = vbslq_f64(sign, x, y);
-                // Final NaN select: x where x != x.
-                let ord = vceqq_f64(x, x);
-                vst1q_f64(p.add(i), vbslq_f64(ord, signed, x));
-            }
-            i += 2;
-        }
-        ops::fast_tanh_slice_scalar(&mut xs[i..]);
-    }
-
-    pub(super) fn selu_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let v = vld1q_f64(p.add(i));
-                let e = exp_core_f64x2(clamp_f64x2(v, -708.0, 0.0));
-                let neg = vmulq_f64(
-                    vdupq_n_f64(SELU_LAMBDA * SELU_ALPHA),
-                    vsubq_f64(e, vdupq_n_f64(1.0)),
-                );
-                let pos = vmulq_f64(vdupq_n_f64(SELU_LAMBDA), v);
-                // v > 0.0 select; NaN compares false → negative branch.
-                let gt = vcgtq_f64(v, vdupq_n_f64(0.0));
-                vst1q_f64(p.add(i), vbslq_f64(gt, pos, neg));
-            }
-            i += 2;
-        }
-        ops::selu_slice_scalar(&mut xs[i..]);
-    }
-}
-
-/// FMA-contracted activation cores — the Fast tier on `aarch64`, mirroring
-/// [`avx2fma`] at two lanes: Horner steps fuse via `vfmaq_f64`, the
-/// Cody–Waite subtraction via `vfmsq_f64` (`a - b*c`, one rounding).
-/// Clamp/select/sign steps are the exact kernels', so special values
-/// propagate identically.
-#[cfg(target_arch = "aarch64")]
-mod neonfma {
-    use crate::ops::{
-        self, EXP_C1, EXP_C2, EXP_LOG2E, EXP_MAGIC, EXP_P, EXP_Q, SELU_ALPHA, SELU_LAMBDA,
-    };
-    use std::arch::aarch64::*;
-
-    /// Two-lane fused [`ops::fast_exp_core`]; see [`avx2fma`] for the
-    /// contraction notes.
-    #[inline]
-    unsafe fn exp_core_f64x2(x: float64x2_t) -> float64x2_t {
-        let magic = vdupq_n_f64(EXP_MAGIC);
-        let t = vfmaq_f64(magic, vdupq_n_f64(EXP_LOG2E), x);
-        let n = vsubq_f64(t, magic);
-        // r = x - n*C1 - n*C2, each subtraction fused.
-        let r = vfmsq_f64(vfmsq_f64(x, n, vdupq_n_f64(EXP_C1)), n, vdupq_n_f64(EXP_C2));
-        let rr = vmulq_f64(r, r);
-        // p = r * ((P0*rr + P1)*rr + P2), Horner steps fused.
-        let p = vmulq_f64(
-            r,
-            vfmaq_f64(
-                vdupq_n_f64(EXP_P[2]),
-                vfmaq_f64(vdupq_n_f64(EXP_P[1]), vdupq_n_f64(EXP_P[0]), rr),
-                rr,
-            ),
-        );
-        // q = ((Q0*rr + Q1)*rr + Q2)*rr + Q3, Horner steps fused.
-        let q = vfmaq_f64(
-            vdupq_n_f64(EXP_Q[3]),
-            vfmaq_f64(
-                vdupq_n_f64(EXP_Q[2]),
-                vfmaq_f64(vdupq_n_f64(EXP_Q[1]), vdupq_n_f64(EXP_Q[0]), rr),
-                rr,
-            ),
-            rr,
-        );
-        let e = vaddq_f64(
-            vdupq_n_f64(1.0),
-            vdivq_f64(vmulq_f64(vdupq_n_f64(2.0), p), vsubq_f64(q, p)),
-        );
-        let bits = vreinterpretq_u64_f64(t);
-        let mant = vandq_u64(bits, vdupq_n_u64((1u64 << 52) - 1));
-        let expn = vaddq_u64(vsubq_u64(mant, vdupq_n_u64(1 << 51)), vdupq_n_u64(1023));
-        let scale = vreinterpretq_f64_u64(vshlq_n_u64::<52>(expn));
-        vmulq_f64(e, scale)
-    }
-
-    /// Rust-`clamp`-semantics lane clamp, as in the exact kernel.
-    #[inline]
-    unsafe fn clamp_f64x2(v: float64x2_t, lo: f64, hi: f64) -> float64x2_t {
-        let vlo = vdupq_n_f64(lo);
-        let vhi = vdupq_n_f64(hi);
-        let t = vbslq_f64(vcltq_f64(v, vlo), vlo, v);
-        vbslq_f64(vcgtq_f64(t, vhi), vhi, t)
-    }
-
-    pub(super) fn exp_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let v = vld1q_f64(p.add(i));
-                vst1q_f64(p.add(i), exp_core_f64x2(clamp_f64x2(v, -708.0, 708.0)));
-            }
-            i += 2;
-        }
-        ops::fast_exp_slice_scalar(&mut xs[i..]);
-    }
-
-    pub(super) fn tanh_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let x = vld1q_f64(p.add(i));
-                let z = vmaxnmq_f64(
-                    vmulq_f64(vdupq_n_f64(-2.0), vabsq_f64(x)),
-                    vdupq_n_f64(-40.0),
-                );
-                let magic = vdupq_n_f64(EXP_MAGIC);
-                let t = vfmaq_f64(magic, vdupq_n_f64(EXP_LOG2E), z);
-                let nn = vsubq_f64(t, magic);
-                let r = vfmsq_f64(
-                    vfmsq_f64(z, nn, vdupq_n_f64(EXP_C1)),
-                    nn,
-                    vdupq_n_f64(EXP_C2),
-                );
-                let rr = vmulq_f64(r, r);
-                let pp = vmulq_f64(
-                    r,
-                    vfmaq_f64(
-                        vdupq_n_f64(EXP_P[2]),
-                        vfmaq_f64(vdupq_n_f64(EXP_P[1]), vdupq_n_f64(EXP_P[0]), rr),
-                        rr,
-                    ),
-                );
-                let q = vfmaq_f64(
-                    vdupq_n_f64(EXP_Q[3]),
-                    vfmaq_f64(
-                        vdupq_n_f64(EXP_Q[2]),
-                        vfmaq_f64(vdupq_n_f64(EXP_Q[1]), vdupq_n_f64(EXP_Q[0]), rr),
-                        rr,
-                    ),
-                    rr,
-                );
-                let bits = vreinterpretq_u64_f64(t);
-                let mant = vandq_u64(bits, vdupq_n_u64((1u64 << 52) - 1));
-                let expn = vaddq_u64(vsubq_u64(mant, vdupq_n_u64(1 << 51)), vdupq_n_u64(1023));
-                let scale = vreinterpretq_f64_u64(vshlq_n_u64::<52>(expn));
-                let den = vsubq_f64(q, pp);
-                let num = vmulq_f64(scale, vaddq_f64(q, pp));
-                let y = vdivq_f64(vsubq_f64(den, num), vaddq_f64(den, num));
-                let sign = vdupq_n_u64(0x8000_0000_0000_0000);
-                let signed = vbslq_f64(sign, x, y);
-                let ord = vceqq_f64(x, x);
-                vst1q_f64(p.add(i), vbslq_f64(ord, signed, x));
-            }
-            i += 2;
-        }
-        ops::fast_tanh_slice_scalar(&mut xs[i..]);
-    }
-
-    pub(super) fn selu_slice(xs: &mut [f64]) {
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            // SAFETY: i + 2 <= n.
-            unsafe {
-                let v = vld1q_f64(p.add(i));
-                let e = exp_core_f64x2(clamp_f64x2(v, -708.0, 0.0));
-                let la = vdupq_n_f64(SELU_LAMBDA * SELU_ALPHA);
-                // neg = λα·e − λα, fused via vfmsq on the negated constant.
-                let neg = vfmaq_f64(vnegq_f64(la), la, e);
-                let pos = vmulq_f64(vdupq_n_f64(SELU_LAMBDA), v);
-                let gt = vcgtq_f64(v, vdupq_n_f64(0.0));
-                vst1q_f64(p.add(i), vbslq_f64(gt, pos, neg));
-            }
-            i += 2;
         }
         ops::selu_slice_scalar(&mut xs[i..]);
     }

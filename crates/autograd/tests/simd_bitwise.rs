@@ -15,8 +15,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Lengths 0..=17 cover empty, sub-lane, exact-lane, and ragged tails for
-/// both 4-lane (AVX2) and 2-lane (NEON) widths.
+/// Lengths 0..=17 cover empty, sub-lane, exact-lane, and ragged tails of
+/// the 4-lane (AVX2) kernels.
 fn slices() -> impl Strategy<Value = Vec<f64>> {
     (0usize..18).prop_flat_map(|len| proptest::collection::vec(-750.0f64..750.0, len))
 }
@@ -108,13 +108,7 @@ fn special_values_are_bit_identical() {
 fn dispatch_and_force_agree_when_backend_is_simd() {
     // Whatever path the public slice functions take, their results must
     // match the forced SIMD path bit for bit (identity is the whole
-    // contract of the dispatch layer) — unless the process opted into the
-    // Fast tier, whose dispatch intentionally leaves the Exact envelope
-    // (covered by `fma_ulp.rs` instead).
-    use bellamy_linalg::kernels::{active_backend, Backend};
-    if active_backend() == Backend::Fma {
-        return;
-    }
+    // contract of the dispatch layer).
     let xs: Vec<f64> = (0..33).map(|i| (i as f64 - 16.0) * 1.37).collect();
 
     let mut via_public = xs.clone();

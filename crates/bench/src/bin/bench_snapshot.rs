@@ -35,10 +35,10 @@ fn backend() -> &'static str {
     kernels::backend_name()
 }
 
-/// The full tier resolution (`requested -> resolved`), recorded alongside
-/// the backend so a snapshot taken under a degraded request (e.g.
-/// `BELLAMY_KERNEL=fma` on a host without FMA) is distinguishable from one
-/// where the request was honored.
+/// The kernel resolution (`requested -> resolved`), recorded alongside the
+/// backend so a snapshot forced onto the scalar kernels
+/// (`BELLAMY_KERNEL=scalar`) is distinguishable from an `auto` run that
+/// resolved to scalar on a host without AVX2.
 fn resolution_fields() -> String {
     let r = kernels::resolution();
     format!(
@@ -67,46 +67,32 @@ fn time_matmul(table: &KernelTable, m: usize, k: usize, n: usize, reps: usize) -
     best * 1e6
 }
 
-/// Exact-vs-Fast matmul comparison rows: the two Exact backends and the
-/// Fast (FMA) table timed head to head on representative shapes, driven
-/// through the tables directly so one process can measure both tiers
-/// regardless of the process-wide dispatch. Shapes cover the n==8
-/// register kernel the predict path leans on, the 40-wide decode GEMM,
-/// and a larger blocked shape.
-fn tier_comparison_json() -> String {
+/// Scalar-vs-SIMD matmul comparison rows: both kernel tables timed head to
+/// head on representative shapes, driven through the tables directly so one
+/// process measures both regardless of the process-wide dispatch. Shapes
+/// cover the n==8 register kernel the predict path leans on, the 40-wide
+/// decode GEMM, and a larger blocked shape.
+fn backend_comparison_json() -> String {
     let shapes: [(usize, usize, usize); 3] = [(64, 8, 8), (64, 40, 8), (128, 64, 64)];
     let scalar = kernels::scalar();
     let simd = kernels::simd();
-    let fma = kernels::fma();
     let mut rows = Vec::new();
     for (m, k, n) in shapes {
         let scalar_us = time_matmul(scalar, m, k, n, 5);
-        let simd_us = simd.map(|t| time_matmul(t, m, k, n, 5));
-        let fma_us = fma.map(|t| time_matmul(t, m, k, n, 5));
-        let fmt_opt = |v: Option<f64>| {
-            v.map(|us| format!("{us:.3}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
-        let fast_vs_exact = match (simd_us.or(Some(scalar_us)), fma_us) {
-            (Some(exact), Some(fast)) if fast > 0.0 => format!("{:.2}", exact / fast),
-            _ => "null".to_string(),
-        };
+        let simd_us = simd
+            .map(|t| format!("{:.3}", time_matmul(t, m, k, n, 5)))
+            .unwrap_or_else(|| "null".to_string());
         eprintln!(
-            "{:<22} scalar {scalar_us:8.3} us  simd {:>8} us  fma {:>8} us  fast_vs_exact {fast_vs_exact}x",
+            "{:<22} scalar {scalar_us:8.3} us  simd {simd_us:>8} us",
             format!("matmul_{m}x{k}x{n}"),
-            fmt_opt(simd_us),
-            fmt_opt(fma_us),
         );
         rows.push(format!(
-            "    {{\"shape\": \"{m}x{k}x{n}\", \"scalar_us\": {scalar_us:.3}, \
-             \"simd_us\": {}, \"fma_us\": {}, \"fast_vs_exact_speedup\": {fast_vs_exact}}}",
-            fmt_opt(simd_us),
-            fmt_opt(fma_us),
+            "    {{\"shape\": \"{m}x{k}x{n}\", \"scalar_us\": {scalar_us:.3}, \"simd_us\": {simd_us}}}"
         ));
     }
     format!(
-        "\"kernel_tiers\": {{\n    \"note\": \"exact-vs-fast matmul, tables driven directly; \
-         null when the backend is unavailable on this host\",\n    \"unit\": \"us_per_call\",\n    \
+        "\"kernel_backends\": {{\n    \"note\": \"scalar-vs-simd matmul, tables driven directly; \
+         simd_us is null when this host has no AVX2\",\n    \"unit\": \"us_per_call\",\n    \
          \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
@@ -167,7 +153,7 @@ fn snapshot_train(path: &str) {
         samples.len(),
         backend(),
         resolution_fields(),
-        tier_comparison_json(),
+        backend_comparison_json(),
         entries.join(",\n")
     );
     std::fs::write(path, json).expect("write train benchmark snapshot");
@@ -190,7 +176,7 @@ fn snapshot_predict(path: &str) {
          \"us_per_query\": {batched_us:.2}, \"speedup_vs_seed\": {:.2}}}\n  ]\n}}\n",
         backend(),
         resolution_fields(),
-        tier_comparison_json(),
+        backend_comparison_json(),
         seed_us / batched_us
     );
     std::fs::write(path, json).expect("write predict benchmark snapshot");

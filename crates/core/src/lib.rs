@@ -67,7 +67,7 @@ pub use state::{ModelState, StateFromCheckpointError};
 pub use train::PretrainReport;
 
 pub use bellamy_linalg::kernels::{
-    Backend as KernelBackend, KernelTier, Resolution as KernelResolution, TierRequest,
+    Backend as KernelBackend, Resolution as KernelResolution, TierRequest,
 };
 
 pub use bellamy_telemetry::{

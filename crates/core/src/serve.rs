@@ -56,7 +56,7 @@ use crate::hub::{HubStats, ModelHub, ModelKey, RecallMode};
 use crate::model::Bellamy;
 use crate::predictor::{PredictQuery, Predictor};
 use crate::state::ModelState;
-use bellamy_linalg::kernels::{self, RequestSource, TierRequest};
+use bellamy_linalg::kernels::{self, RequestSource};
 use bellamy_telemetry::{
     self as telemetry, event_kind, Counter, Histogram, Sampler, TelemetrySnapshot,
 };
@@ -87,14 +87,12 @@ pub struct BatcherStats {
     /// Forward-pass panics caught by [`ModelClient::predict`]; each failed
     /// exactly one query with [`BellamyError::BatchPanicked`].
     pub panics: u64,
-    /// Kernel tier requested for this process (`"auto"`, `"scalar"`,
-    /// `"simd"`, or `"fma"` — see `bellamy_linalg::kernels::resolution`).
-    /// Empty only on [`BatcherStats::default`].
+    /// `BELLAMY_KERNEL` request for this process (`"auto"` or `"scalar"`;
+    /// see `bellamy_linalg::kernels::resolution`). Empty only on
+    /// [`BatcherStats::default`].
     pub kernel_requested: &'static str,
-    /// Kernel backend the request actually resolved to (e.g. `"avx2-fma"`).
-    /// Differs from an honored request only when the hardware forced a
-    /// degradation — compare with `kernel_requested` to detect silent
-    /// fallback from operational stats.
+    /// Kernel backend the request resolved to (`"avx2"` or `"scalar"`).
+    /// Every backend is bit-identical, so this changes throughput only.
     pub kernel_resolved: &'static str,
 }
 
@@ -306,7 +304,6 @@ pub struct ServiceBuilder {
     hub_dir: Option<PathBuf>,
     recall_mode: Option<RecallMode>,
     finetune: Option<FinetunePolicy>,
-    kernel: Option<TierRequest>,
 }
 
 impl ServiceBuilder {
@@ -339,29 +336,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Requests a kernel tier for this **process** (e.g.
-    /// [`TierRequest::Fma`] for the ULP-bounded Fast tier; see
-    /// `bellamy_linalg::kernels` for the tier contract). Kernel dispatch
-    /// resolves once per process: a programmatic request made before the
-    /// first kernel runs takes precedence over `BELLAMY_KERNEL`; after
-    /// that, the standing resolution wins and this call has no effect.
-    /// Either way [`ModelClient::batcher_stats`] reports requested vs
-    /// resolved so a lost or degraded request is visible, and an
-    /// unsupported tier logs a one-time warning while degrading
-    /// (fma → simd → scalar) rather than failing the build.
-    pub fn kernel_tier(mut self, tier: TierRequest) -> Self {
-        self.kernel = Some(tier);
-        self
-    }
-
     /// Builds the service. Fails only when a [`ServiceBuilder::hub_dir`]
     /// cannot be created.
     pub fn build(self) -> Result<Service, BellamyError> {
-        if let Some(tier) = self.kernel {
-            // First resolution wins process-wide; a lost request is
-            // surfaced through stats rather than failing the build.
-            let _ = kernels::request_tier(tier);
-        }
         let hub = match (self.hub, self.hub_dir) {
             (Some(hub), _) => hub,
             (None, Some(dir)) => {
@@ -431,7 +408,6 @@ impl Service {
         let source = match res.source {
             RequestSource::Default => "default",
             RequestSource::Env => "env",
-            RequestSource::Program => "program",
         };
         snap.push_gauge(
             "bellamy_kernel_info",
@@ -443,13 +419,6 @@ impl Service {
             "",
             "Kernel dispatch resolution for this process (constant 1).",
             1,
-        );
-        snap.push_gauge(
-            "bellamy_kernel_degraded",
-            Vec::new(),
-            "",
-            "1 if the requested kernel tier was unavailable and dispatch degraded.",
-            res.degraded as i64,
         );
         self.inner.hub.collect_telemetry(&mut snap);
         for served in self.inner.served.lock().values() {

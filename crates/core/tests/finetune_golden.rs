@@ -1,22 +1,18 @@
 //! Golden pins of the fine-tuning trajectories.
 //!
 //! Fine-tuning is deterministic in (base model, samples, config, strategy,
-//! seed), and on the Exact kernel tier it is bit-identical across backends.
+//! seed), and bit-identical across kernel backends.
 //! These constants were recorded before the prediction forward was split
 //! into a context stage and a regression stage, so any optimisation of the
 //! fine-tuning loop that moves a single bit of a trajectory — the epoch at
 //! which it stops, its best MAE, or the weights it leaves behind — fails
 //! here. The base model is pretrained on one shard with one worker, so the
 //! pins do not depend on the host's core count.
-//!
-//! The opt-in Fast (FMA) tier rounds differently by design, so the test
-//! skips itself there, like the other bitwise suites.
 
 use bellamy_core::finetune::fine_tune;
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    Bellamy, BellamyConfig, FinetuneConfig, KernelTier, PretrainConfig, ReuseStrategy,
-    TrainingSample,
+    Bellamy, BellamyConfig, FinetuneConfig, PretrainConfig, ReuseStrategy, TrainingSample,
 };
 use bellamy_data::{generate_c3o, Algorithm, GeneratorConfig};
 
@@ -80,10 +76,6 @@ fn base_and_few_shot() -> (Bellamy, Vec<TrainingSample>) {
 
 #[test]
 fn finetune_trajectories_match_golden_pins() {
-    if bellamy_linalg::kernels::active_tier() == KernelTier::Fast {
-        eprintln!("skipped: the Fast tier is not bit-identical by contract");
-        return;
-    }
     let (base, few) = base_and_few_shot();
     let base_state = base.snapshot().expect("pretrained");
     let cfg = FinetuneConfig {

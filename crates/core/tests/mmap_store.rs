@@ -204,107 +204,6 @@ fn mapped_recall_is_bit_identical_to_deserialize_across_all_surfaces() {
 }
 
 #[test]
-fn fast_tier_kernels_run_over_mapped_weights() {
-    // The Fast (FMA) tier issues the same aligned vector loads as the Exact
-    // SIMD tier, so the mapped-storage alignment contract (page-aligned map
-    // base + 64-byte-aligned payload sections) must carry it too. This
-    // drives the FMA kernel table *directly* over matrices still borrowing
-    // the checkpoint file and pins down:
-    //
-    // - FMA loads over mapped weights neither fault nor diverge: results
-    //   are bit-identical to the same kernels over materialized copies,
-    // - the Fast tier over mapped weights stays inside the documented ULP
-    //   envelope of the Exact scalar kernels (`within_envelope`).
-    //
-    // (Tier dispatch is process-wide, so the *served* Fast-predict path over
-    // mapped weights is exercised by the CI `BELLAMY_KERNEL=fma` leg running
-    // the parity tests above through the Fast table.)
-    use bellamy_linalg::{kernels, within_envelope};
-
-    let Some(fast) = kernels::fma() else {
-        return; // no FMA hardware: nothing to prove
-    };
-    let exact = kernels::scalar();
-
-    let (model, _) = trained_model(59);
-    let dir = unique_dir("fma-mapped");
-    let _ = std::fs::remove_dir_all(&dir);
-    let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
-    ModelHub::at(&dir).unwrap().publish(&key, &model).unwrap();
-
-    // Also prove the serving-level recall really maps on this platform, so
-    // the kernel-level assertions below speak for the hub path.
-    let state = ModelHub::at(&dir)
-        .unwrap()
-        .with_recall_mode(RecallMode::Mmap)
-        .recall(&key)
-        .unwrap();
-    assert!(state.weights_mapped());
-
-    let ck = Checkpoint::map(dir.join(format!("{}.blmy", key.id()))).unwrap();
-    let mut mapped_seen = 0;
-    for (_, param) in ck.params.iter() {
-        let w = &param.value;
-        if !w.is_mapped() {
-            continue;
-        }
-        mapped_seen += 1;
-        let (k, n) = (w.rows(), w.cols());
-        let m = 3;
-        let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.37) - 5.0).collect();
-        let owned = w.clone(); // clone() materializes into owned storage
-        assert!(!owned.is_mapped());
-
-        let mut out_mapped = vec![0.0; m * n];
-        let mut out_owned = vec![0.0; m * n];
-        let mut out_exact = vec![0.0; m * n];
-        fast.matmul(&a, w.as_slice(), &mut out_mapped, m, k, n);
-        fast.matmul(&a, owned.as_slice(), &mut out_owned, m, k, n);
-        exact.matmul(&a, w.as_slice(), &mut out_exact, m, k, n);
-
-        let ws = w.as_slice();
-        for (idx, ((got, want), ex)) in out_mapped
-            .iter()
-            .zip(&out_owned)
-            .zip(&out_exact)
-            .enumerate()
-        {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "FMA over mapped vs owned storage must be bit-identical"
-            );
-            // Same envelope the accuracy harness pins: 16 ULPs, or a
-            // 4(k+1)·eps relative bound against the cancellation-safe
-            // running magnitude sum |a_ip · w_pj|.
-            let (i, j) = (idx / n, idx % n);
-            let magnitude: f64 = (0..k).map(|p| (a[i * k + p] * ws[p * n + j]).abs()).sum();
-            let rel_tol = 4.0 * (k + 1) as f64 * f64::EPSILON;
-            assert!(
-                within_envelope(*ex, *got, 16, rel_tol, magnitude),
-                "FMA over mapped weights left the Exact envelope: {ex:?} vs {got:?}"
-            );
-        }
-
-        // axpy straight out of the file mapping (mapped side is read-only,
-        // so the mapped slice is the x operand).
-        let mut y = vec![1.0; k * n];
-        fast.axpy(0.5, w.as_slice(), &mut y);
-        let mut y_owned = vec![1.0; k * n];
-        fast.axpy(0.5, owned.as_slice(), &mut y_owned);
-        for (a, b) in y.iter().zip(&y_owned) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-    assert!(
-        mapped_seen >= 2,
-        "a v2 mmap recall should expose several mapped parameter matrices, saw {mapped_seen}"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn eight_threads_share_one_mapped_state_bit_identically() {
     let (model, samples) = trained_model(47);
     let dir = unique_dir("threads");

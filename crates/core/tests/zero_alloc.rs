@@ -470,51 +470,6 @@ fn kernel_dispatch_is_allocation_free_in_steady_state() {
 }
 
 #[test]
-fn fast_tier_kernels_are_allocation_free_in_steady_state() {
-    let _serial = serial();
-    // The Fast (FMA) table must inherit the zero-allocation property of the
-    // Exact tiers: tier selection changes rounding, never memory behavior.
-    // The table is driven directly (dispatch is process-wide and this
-    // binary may be pinned to another tier); the CI `BELLAMY_KERNEL=fma`
-    // leg additionally runs every steady-state test above *through* the
-    // Fast dispatch. Vacuous on hardware without FMA.
-    use bellamy_linalg::kernels;
-
-    let Some(fast) = kernels::fma() else {
-        return;
-    };
-    let (m, k, n) = (9, 7, 8); // n == 8: the register kernel predict leans on
-    let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.3) - 4.0).collect();
-    let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.7) - 9.0).collect();
-    let bt: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.4) - 5.0).collect();
-    let at: Vec<f64> = (0..k * m).map(|i| (i as f64 * 0.2) - 3.0).collect();
-    let bias: Vec<f64> = (0..n).map(|i| i as f64 * 0.1).collect();
-    let mut out = vec![0.0; m * n];
-    let mut y = vec![1.0; m * n];
-    let mut sum = vec![0.0; m * n];
-
-    // Warm-up: one pass through every entry point (and the lazy CPU
-    // feature detection inside `fma()` has already run above).
-    fast.matmul(&a, &b, &mut out, m, k, n);
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..10 {
-        fast.matmul(&a, &b, &mut out, m, k, n);
-        fast.matmul_tb(&a, &bt, &mut out, m, k, n);
-        fast.ta_matmul(&at, &b, &mut out, k, m, n);
-        fast.matmul_bias_rowapply(&a, &b, Some(&bias), &mut out, m, k, n, &mut |row| {
-            for v in row.iter_mut() {
-                *v *= 0.5;
-            }
-        });
-        fast.axpy(1.25, &out, &mut y);
-        fast.add(&out, &y, &mut sum); // shared Exact elementwise entry
-    }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    assert_eq!(allocs, 0, "Fast-tier kernels allocated in steady state");
-}
-
-#[test]
 fn steady_state_shared_cache_predict_is_allocation_free_and_bounded() {
     let _serial = serial();
     // The encoding memo moved out of the per-thread predictor into the

@@ -1,7 +1,7 @@
 //! 32-byte-aligned `f64` storage for SIMD-friendly matrix backing.
 //!
 //! The [`kernels`](crate::kernels) module's AVX2 path moves four `f64` lanes
-//! per instruction; NEON moves two. Unaligned 256-bit loads are cheap on
+//! per instruction. Unaligned 256-bit loads are cheap on
 //! modern cores but still split when they straddle a cache line, so every
 //! buffer that can back a [`Matrix`](crate::Matrix) — and every store
 //! recycled through [`BufferPool`](crate::BufferPool) — is allocated on a

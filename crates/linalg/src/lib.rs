@@ -26,22 +26,18 @@
 //! # Kernel dispatch
 //!
 //! The hot kernels run through the [`kernels`] dispatch table: a scalar set
-//! that is always available, and an AVX2 (`x86_64`) / NEON (`aarch64`)
-//! `f64x4`/`f64x2` set selected **once per process** via runtime CPU feature
-//! detection, overridable with `BELLAMY_KERNEL={auto,scalar,simd,fma}`. The
-//! default (**Exact**) tier's backends are bit-identical — no FMA
-//! contraction, same per-element accumulation order — so the choice never
-//! changes results, only throughput. The opt-in **Fast** tier (`fma`)
-//! contracts multiply-adds into fused operations and instead promises a
-//! documented ULP envelope, measured with the [`ulp`] utilities. See the
-//! [`kernels`] module docs for the tier contract table.
+//! that is always available, and an AVX2 `f64x4` set on `x86_64`, selected
+//! **once per process** via runtime CPU feature detection and overridable
+//! with `BELLAMY_KERNEL={auto,scalar}`. The two sets are bit-identical — no
+//! FMA contraction, same per-element accumulation order — so the choice
+//! never changes results, only throughput. See the [`kernels`] module docs
+//! for the contract.
 //!
 //! # Alignment contract
 //!
 //! Every owned buffer that backs a [`Matrix`] — freshly allocated or
 //! recycled through a [`BufferPool`] — is an [`aligned::AlignedBuf`], whose
-//! data pointer is **always 32-byte aligned** (one AVX2 vector, two NEON
-//! vectors). The guarantee is structural (storage is composed of
+//! data pointer is **always 32-byte aligned** (one AVX2 vector). The guarantee is structural (storage is composed of
 //! `align(32)` chunks), so it holds for ragged lengths and across pool
 //! round-trips.
 //!
@@ -63,7 +59,6 @@ pub mod pool;
 pub mod qr;
 pub mod stats;
 pub mod storage;
-pub mod ulp;
 
 pub use aligned::AlignedBuf;
 pub use matrix::Matrix;
@@ -72,4 +67,3 @@ pub use nnls::{nnls, NnlsError, NnlsSolution};
 pub use pool::BufferPool;
 pub use qr::{lstsq, QrDecomposition};
 pub use storage::Storage;
-pub use ulp::{ulp_distance, within_envelope};

@@ -67,10 +67,13 @@ pub struct Mmap {
     imp: Imp,
 }
 
-// SAFETY: the mapping is immutable for its whole lifetime (PROT_READ, no
-// mutable accessor exists) and the fallback owns its storage; sharing
-// read-only bytes across threads is sound.
+// SAFETY: the raw pointer is the only non-`Send` field. It names a
+// process-wide mapping, not thread-local state, so any thread may read it or
+// `munmap` it on drop; the fallback owns its storage.
 unsafe impl Send for Mmap {}
+// SAFETY: the mapping is immutable for its whole lifetime (PROT_READ, no
+// mutable accessor exists), so sharing its read-only bytes across threads is
+// sound.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {

@@ -154,6 +154,37 @@ fn one_by_one_and_empty_shapes_agree() {
     simd.axpy(0.5, &[], &mut g);
 }
 
+/// Shapes past the property range: `k = 80` crosses the 64-wide matmul
+/// block, and `matmul_tb`'s dot-product path only engages when the
+/// transposed `b` would overflow its stack buffer (`k * n > 4096`).
+/// Non-integer operands round every product, so a changed accumulation
+/// order shows in the low bits.
+#[test]
+fn large_shapes_agree_bitwise() {
+    let Some((scalar, simd)) = tables() else {
+        return;
+    };
+    let (m, k, n) = (3, 80, 60); // k * n = 4800 > 4096
+    let a: Vec<f64> = (0..m * k)
+        .map(|i| (i * 37 % 113) as f64 * 0.013 - 0.7)
+        .collect();
+    let b: Vec<f64> = (0..k * n)
+        .map(|i| (i * 61 % 127) as f64 * 0.029 - 1.9)
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut want = vec![0.0; m * n];
+    let mut got = vec![1.0; m * n];
+    scalar.matmul_tb(&a, &b, &mut want, m, k, n);
+    simd.matmul_tb(&a, &b, &mut got, m, k, n);
+    assert_eq!(bits(&want), bits(&got), "matmul_tb");
+    scalar.matmul(&a, &b, &mut want, m, k, n);
+    simd.matmul(&a, &b, &mut got, m, k, n);
+    assert_eq!(bits(&want), bits(&got), "matmul");
+    scalar.ta_matmul(&a, &b, &mut want, k, m, n);
+    simd.ta_matmul(&a, &b, &mut got, k, m, n);
+    assert_eq!(bits(&want), bits(&got), "ta_matmul");
+}
+
 #[test]
 fn special_values_propagate_identically() {
     let Some((scalar, simd)) = tables() else {

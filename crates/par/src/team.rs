@@ -20,6 +20,8 @@ use std::sync::Arc;
 #[derive(Clone, Copy)]
 struct Task {
     ctx: *const (),
+    /// Calls the closure behind `ctx`. Unsafe because `ctx` must point to
+    /// the live closure of the `run` call that published this task.
     call: unsafe fn(*const (), usize),
     total: usize,
 }
@@ -117,6 +119,9 @@ impl WorkTeam {
             }
             return;
         }
+        /// # Safety
+        ///
+        /// `ctx` must point to a live `F`.
         unsafe fn call_erased<F: Fn(usize)>(ctx: *const (), i: usize) {
             // SAFETY: `ctx` is the `&f` published below; `run` does not
             // return until every claimed call finished.
@@ -179,6 +184,10 @@ fn work_current_task(shared: &Shared) {
             (task, i)
         };
         // Contain panics so one bad shard cannot wedge the whole team.
+        // SAFETY: index `i` was claimed under the lock and counted in
+        // `in_flight`, and the `run` that published `task` waits for
+        // `in_flight` to reach 0, so `task.ctx` still points to its closure
+        // (the `F` that `task.call` was instantiated for).
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
             (task.call)(task.ctx, i)
         }));
@@ -288,6 +297,8 @@ mod tests {
         // indices.
         use std::cell::UnsafeCell;
         struct Cells(Vec<UnsafeCell<u64>>);
+        // SAFETY: workers touch disjoint cells, because `run` hands each
+        // index to exactly one worker.
         unsafe impl Sync for Cells {}
         let cells = Cells((0..32).map(|_| UnsafeCell::new(0)).collect());
         let team = WorkTeam::new(4);
@@ -300,6 +311,7 @@ mod tests {
             });
         }
         for (i, c) in cells.0.iter().enumerate() {
+            // SAFETY: every `run` returned, so no worker touches the cells.
             assert_eq!(unsafe { *c.get() }, 10 * i as u64);
         }
     }

@@ -8,8 +8,6 @@ use std::time::Instant;
 /// Well-known event kinds. Components emit these so operators and tests can
 /// match on a stable, machine-readable tag instead of scraping stderr.
 pub mod event_kind {
-    /// A requested kernel tier was unavailable and dispatch fell back.
-    pub const KERNEL_DEGRADED: &str = "kernel.degraded";
     /// A checkpoint failed to decode and was renamed out of the store.
     pub const CHECKPOINT_QUARANTINED: &str = "hub.quarantine";
     /// A served query's forward pass panicked; the query failed with
@@ -31,8 +29,8 @@ pub struct Event {
 }
 
 /// A bounded ring buffer of [`Event`]s. Recording takes a mutex and may
-/// allocate — this log is for rare events (degradations, quarantines,
-/// panics), never for the per-query hot path.
+/// allocate — this log is for rare events (quarantines, panics, injected
+/// faults), never for the per-query hot path.
 pub struct EventLog {
     capacity: usize,
     seq: AtomicU64,
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn global_log_exists() {
         let before = events().total();
-        events().record(event_kind::KERNEL_DEGRADED, "test");
+        events().record(event_kind::FAULT_INJECTED, "test");
         assert!(events().total() > before);
     }
 }

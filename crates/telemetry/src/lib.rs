@@ -1,8 +1,7 @@
 //! Zero-overhead runtime observability for the Bellamy serving stack.
 //!
-//! This crate is the bottom layer of the workspace (even `bellamy_linalg`
-//! depends on it) and therefore depends on nothing but `std`. It provides
-//! three things:
+//! This crate is the bottom layer of the workspace and therefore depends on
+//! nothing but `std`. It provides three things:
 //!
 //! 1. **Lock-free metric primitives** — [`Counter`], [`Gauge`], and a
 //!    fixed-bucket log₂-scale latency [`Histogram`] whose record path is a
@@ -12,9 +11,8 @@
 //!    [`global()`] registry behind a `OnceLock`, the same pattern as
 //!    `bellamy_linalg::kernels`).
 //! 2. **A structured event log** — a bounded ring buffer ([`EventLog`],
-//!    process-global via [`events()`]) for *rare* events: kernel-tier
-//!    degradation, checkpoint quarantine, forward-pass panics of served
-//!    queries, injected faults. Recording an event takes a mutex and may
+//!    process-global via [`events()`]) for *rare* events: checkpoint
+//!    quarantine, forward-pass panics of served queries, injected faults. Recording an event takes a mutex and may
 //!    allocate; none of these events fire on the hot path.
 //! 3. **Exporters** — [`TelemetrySnapshot`], a typed point-in-time read of
 //!    every metric, with JSON ([`TelemetrySnapshot::to_json`]) and
@@ -47,12 +45,10 @@
 //! | `bellamy_train_steps_total` | counter | steps | core/train |
 //! | `bellamy_train_step_latency_seconds` | histogram | seconds | core/train (per optimizer step) |
 //! | `bellamy_kernel_info{requested,resolved,source}` | gauge | — | linalg/kernels (constant 1) |
-//! | `bellamy_kernel_degraded` | gauge | — | linalg/kernels (1 if tier degraded) |
 //!
 //! # Event kinds
 //!
-//! See [`event_kind`]: `kernel.degraded`, `hub.quarantine`, `serve.panic`,
-//! `fault.injected`.
+//! See [`event_kind`]: `hub.quarantine`, `serve.panic`, `fault.injected`.
 //!
 //! # Timing toggle
 //!
