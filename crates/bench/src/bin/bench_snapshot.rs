@@ -186,19 +186,10 @@ fn snapshot_predict(path: &str) {
 fn snapshot_hub(path: &str) {
     let r = hub::run();
     eprintln!("{:<22} {:9.2} us", "hub_recall_memory", r.recall_memory_us);
-    let mut disk_entries = Vec::new();
-    for d in &r.disk {
-        eprintln!(
-            "{:<22} {:9.2} us cold / {:8.2} us warm",
-            format!("hub_recall_{}", d.mode),
-            d.cold_us,
-            d.warm_us
-        );
-        disk_entries.push(format!(
-            "      {{\"recall_mode\": \"{}\", \"cold_us\": {:.2}, \"warm_us\": {:.2}}}",
-            d.mode, d.cold_us, d.warm_us
-        ));
-    }
+    eprintln!(
+        "{:<22} {:9.2} us cold / {:8.2} us warm",
+        "hub_recall_disk", r.disk.cold_us, r.disk.warm_us
+    );
     let mut qps_entries = Vec::new();
     for (threads, qps) in &r.concurrent_qps {
         eprintln!("{:<22} {qps:9.0} q/s", format!("predict_{threads}_threads"));
@@ -210,12 +201,13 @@ fn snapshot_hub(path: &str) {
         "{{\n  \"benchmark\": \"hub\",\n  \"workload\": \"recall of one pretrained SGD model + \
          concurrent 64-query sweeps on one shared Arc<ModelState>\",\n  \
          \"kernel_backend\": \"{}\",\n  {},\n  \"recall\": {{\n    \
-         \"memory_us\": {:.2},\n    \"disk\": [\n{}\n    ]\n  }},\n  \
+         \"memory_us\": {:.2},\n    \"disk\": {{\"cold_us\": {:.2}, \"warm_us\": {:.2}}}\n  }},\n  \
          \"concurrent_predict\": [\n{}\n  ]\n}}\n",
         backend(),
         resolution_fields(),
         r.recall_memory_us,
-        disk_entries.join(",\n"),
+        r.disk.cold_us,
+        r.disk.warm_us,
         qps_entries.join(",\n")
     );
     std::fs::write(path, json).expect("write hub benchmark snapshot");

@@ -5,7 +5,7 @@
 use bellamy_core::train::pretrain;
 use bellamy_core::{
     context_properties, Bellamy, BellamyConfig, ContextProperties, ModelHub, ModelKey, ModelState,
-    Predictor, PretrainConfig, RecallMode, TrainingSample,
+    Predictor, PretrainConfig, TrainingSample,
 };
 use bellamy_data::{generate_c3o, Algorithm, GeneratorConfig};
 use std::path::Path;
@@ -16,13 +16,11 @@ use std::time::Instant;
 /// allocation-search shape).
 pub const SWEEP: usize = 64;
 
-/// Disk recall latency for one [`RecallMode`].
+/// Disk recall latency (map, verify, state build).
 pub struct DiskRecall {
-    /// `RecallMode::as_str()` of the measured mode.
-    pub mode: &'static str,
-    /// µs for the very first fresh-hub recall of the run (mapping setup /
-    /// first pass over the bytes; the page cache is hot in both modes, so
-    /// this is software cold-start, not major-fault cost).
+    /// µs for the very first fresh-hub recall of the run (mapping setup,
+    /// first pass over the bytes; the page cache is hot, so this is
+    /// software cold-start, not major-fault cost).
     pub cold_us: f64,
     /// Mean µs over subsequent fresh-hub recalls.
     pub warm_us: f64,
@@ -32,9 +30,9 @@ pub struct DiskRecall {
 pub struct HubBenchResult {
     /// Mean µs for a memory recall (`Arc` clone out of the registry).
     pub recall_memory_us: f64,
-    /// Cold/warm disk recall per [`RecallMode`] (fresh hub instance each
-    /// iteration: checkpoint load or map + state build — the restart path).
-    pub disk: Vec<DiskRecall>,
+    /// Cold/warm disk recall (fresh hub instance each iteration:
+    /// checkpoint map + state build — the restart path).
+    pub disk: DiskRecall,
     /// `(threads, queries_per_second)` for the concurrent shared-snapshot
     /// sweep workload.
     pub concurrent_qps: Vec<(usize, f64)>,
@@ -76,12 +74,9 @@ pub fn run() -> HubBenchResult {
     }
     let recall_memory_us = start.elapsed().as_secs_f64() / iters as f64 * 1e6;
 
-    // Disk recall per mode: a fresh hub instance per iteration (checkpoint
-    // load or map + state build), the restart path.
-    let disk = [RecallMode::Deserialize, RecallMode::Mmap]
-        .iter()
-        .map(|&mode| disk_recall_latency(&dir, &key, mode))
-        .collect();
+    // Disk recall: a fresh hub instance per iteration (checkpoint map +
+    // state build), the restart path.
+    let disk = disk_recall_latency(&dir, &key);
 
     // Concurrent predict throughput on one shared snapshot.
     let state = hub.recall(&key).expect("recall");
@@ -99,14 +94,9 @@ pub fn run() -> HubBenchResult {
     }
 }
 
-/// Cold (first) and warm (mean of 50 subsequent) fresh-hub disk recall in
-/// `mode`.
-fn disk_recall_latency(dir: &Path, key: &ModelKey, mode: RecallMode) -> DiskRecall {
-    let open = || {
-        ModelHub::at(dir)
-            .expect("open hub dir")
-            .with_recall_mode(mode)
-    };
+/// Cold (first) and warm (mean of 50 subsequent) fresh-hub disk recall.
+fn disk_recall_latency(dir: &Path, key: &ModelKey) -> DiskRecall {
+    let open = || ModelHub::at(dir).expect("open hub dir");
     let start = Instant::now();
     std::hint::black_box(open().recall(key).expect("cold disk recall"));
     let cold_us = start.elapsed().as_secs_f64() * 1e6;
@@ -117,11 +107,7 @@ fn disk_recall_latency(dir: &Path, key: &ModelKey, mode: RecallMode) -> DiskReca
         std::hint::black_box(open().recall(key).expect("warm disk recall"));
     }
     let warm_us = start.elapsed().as_secs_f64() / iters as f64 * 1e6;
-    DiskRecall {
-        mode: mode.as_str(),
-        cold_us,
-        warm_us,
-    }
+    DiskRecall { cold_us, warm_us }
 }
 
 /// Total queries/second over `threads` workers, each driving its own
@@ -164,13 +150,8 @@ mod tests {
     fn hub_bench_produces_sane_numbers() {
         let r = run();
         assert!(r.recall_memory_us > 0.0);
-        assert_eq!(r.disk.len(), 2);
-        assert_eq!(r.disk[0].mode, "deserialize");
-        assert_eq!(r.disk[1].mode, "mmap");
-        for d in &r.disk {
-            assert!(d.cold_us > 0.0, "{} cold recall unmeasured", d.mode);
-            assert!(d.warm_us > r.recall_memory_us, "{} mode", d.mode);
-        }
+        assert!(r.disk.cold_us > 0.0, "cold recall unmeasured");
+        assert!(r.disk.warm_us > r.recall_memory_us);
         assert_eq!(r.concurrent_qps.len(), 3);
         for (threads, qps) in &r.concurrent_qps {
             assert!(*qps > 0.0, "{threads} threads produced no throughput");

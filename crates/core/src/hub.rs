@@ -29,7 +29,11 @@
 //!    checkpoint directory, and only pre-trains (then persists) when both
 //!    miss. A second hub instance pointed at the same directory — e.g.
 //!    another process after a restart — recalls from disk without
-//!    re-training, bit-identically.
+//!    re-training, bit-identically. A disk recall maps the checkpoint
+//!    ([`Checkpoint::map_file`]) and, once its checksums verify, serves
+//!    the weights from the OS page cache: processes mapping one file share
+//!    one physical copy, and hub RSS stays bounded by page-cache eviction.
+//!    Legacy v1 files decode into owned weights through the same call.
 //! 2. **Fine-tune.** [`ModelHub::fine_tuned_for`] derives a trainer handle
 //!    from the recalled snapshot ([`Bellamy::from_state`]), fine-tunes it on
 //!    the context's samples, and publishes the result into a bounded LRU of
@@ -283,33 +287,6 @@ pub struct HubStats {
     pub quarantined: u64,
 }
 
-/// How disk recalls materialize a checkpoint's tensors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecallMode {
-    /// Read the whole file and deserialize into freshly allocated, owned
-    /// tensors (the pre-v2 behavior; works for any checkpoint version).
-    Deserialize,
-    /// Memory-map the file and serve the weights as read-only views into
-    /// the OS page cache — recall is a header parse plus page faults, many
-    /// processes mapping one file share a single physical copy, and hub
-    /// RSS stays bounded by page-cache eviction instead of growing with
-    /// every model held. v1 files transparently fall back to deserialize.
-    /// Predictions are bit-identical to [`RecallMode::Deserialize`]
-    /// (`tests/mmap_store.rs`).
-    #[default]
-    Mmap,
-}
-
-impl RecallMode {
-    /// Stable label for benchmarks and logs.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RecallMode::Deserialize => "deserialize",
-            RecallMode::Mmap => "mmap",
-        }
-    }
-}
-
 /// One fine-tuned descendant in the LRU.
 struct FineTunedEntry {
     /// Cache identity: parent key id, caller's context label, and a
@@ -335,7 +312,6 @@ pub const DEFAULT_FINETUNED_CAPACITY: usize = 32;
 pub struct ModelHub {
     dir: Option<PathBuf>,
     finetuned_capacity: usize,
-    recall_mode: RecallMode,
     pretrained: Mutex<HashMap<String, Arc<ModelState>>>,
     /// Per-key miss guards: after a memory miss, the disk probe *and* any
     /// pre-training run while holding only that key's mutex, so same-key
@@ -362,19 +338,9 @@ struct HubMetrics {
     finetunes: Counter,
     disk_retries: Counter,
     quarantined: Counter,
-    /// Wall time of successful disk recalls (load + decode + register) in
-    /// nanoseconds, one histogram per [`RecallMode`].
-    recall_latency_deserialize: Histogram,
-    recall_latency_mmap: Histogram,
-}
-
-impl HubMetrics {
-    fn recall_latency(&self, mode: RecallMode) -> &Histogram {
-        match mode {
-            RecallMode::Deserialize => &self.recall_latency_deserialize,
-            RecallMode::Mmap => &self.recall_latency_mmap,
-        }
-    }
+    /// Wall time of successful disk recalls (map + verify + register) in
+    /// nanoseconds.
+    recall_latency: Histogram,
 }
 
 /// Attempts a checkpoint read makes before giving up on transient I/O
@@ -386,18 +352,6 @@ const DISK_READ_ATTEMPTS: usize = 3;
 /// transient hiccup, short enough that a genuinely dead disk fails a
 /// recall in single-digit milliseconds.
 const DISK_RETRY_BACKOFF: Duration = Duration::from_millis(1);
-
-/// Outcome of one checkpoint load attempt, classified for the retry loop.
-enum AttemptError {
-    /// The file disappeared mid-recall (concurrent quarantine/cleanup):
-    /// permanent for this recall, never retried.
-    Vanished(String),
-    /// An I/O failure a later attempt might not see: retried with backoff.
-    Transient(String),
-    /// The bytes decoded as garbage: surfaced for corruption handling,
-    /// never retried.
-    Decode(CheckpointError),
-}
 
 /// What probing the on-disk registry for one key produced.
 enum DiskProbe {
@@ -417,7 +371,6 @@ impl ModelHub {
         Self {
             dir: None,
             finetuned_capacity: DEFAULT_FINETUNED_CAPACITY,
-            recall_mode: RecallMode::default(),
             pretrained: Mutex::new(HashMap::new()),
             misses: Mutex::new(HashMap::new()),
             finetuned: Mutex::new(FineTunedLru {
@@ -444,19 +397,6 @@ impl ModelHub {
     pub fn with_finetuned_capacity(mut self, capacity: usize) -> Self {
         self.finetuned_capacity = capacity.max(1);
         self
-    }
-
-    /// Sets how disk recalls materialize checkpoints (builder style). The
-    /// default is [`RecallMode::Mmap`]; [`RecallMode::Deserialize`] forces
-    /// the classic owned-copy path.
-    pub fn with_recall_mode(mut self, mode: RecallMode) -> Self {
-        self.recall_mode = mode;
-        self
-    }
-
-    /// The configured disk-recall mode.
-    pub fn recall_mode(&self) -> RecallMode {
-        self.recall_mode
     }
 
     /// Operation counters.
@@ -524,15 +464,13 @@ impl ModelHub {
             "Corrupt checkpoints renamed out of the registry.",
             m.quarantined.get(),
         );
-        for mode in [RecallMode::Deserialize, RecallMode::Mmap] {
-            snap.push_histogram(
-                "bellamy_hub_recall_latency_seconds",
-                vec![("mode", mode.as_str().to_string())],
-                "seconds",
-                "Wall time of successful disk recalls, by recall mode.",
-                m.recall_latency(mode).snapshot(),
-            );
-        }
+        snap.push_histogram(
+            "bellamy_hub_recall_latency_seconds",
+            Vec::new(),
+            "seconds",
+            "Wall time of successful disk recalls.",
+            m.recall_latency.snapshot(),
+        );
     }
 
     /// Number of fine-tuned descendants currently cached.
@@ -567,7 +505,7 @@ impl ModelHub {
                 Some(Injected::Error) => {
                     let mut tmp = path.as_os_str().to_os_string();
                     tmp.push(".tmp");
-                    let _ = std::fs::write(PathBuf::from(tmp), b"BLMY\x02\x00\x00\x00torn");
+                    let _ = std::fs::write(PathBuf::from(tmp), b"BLMY\x03\x00\x00\x00torn");
                     return Err(HubError::Checkpoint(CheckpointError::Io(
                         "injected persist fault".to_string(),
                     )));
@@ -609,71 +547,43 @@ impl ModelHub {
         self.misses.lock().remove(key.id());
     }
 
-    /// Loads the checkpoint at `path` in the configured [`RecallMode`],
-    /// retrying transient I/O failures with bounded backoff (a flaky
-    /// network disk should not fail a recall that a millisecond-later
-    /// attempt would serve). Both modes share one loop, so the retry
-    /// budget, the `NotFound` short-circuit (the file vanished between the
-    /// existence probe and the open — a concurrent quarantine or cleanup,
-    /// permanent for this recall), and the `disk_retries` counter behave
-    /// identically whether the bytes are read or mapped.
+    /// Maps the checkpoint at `path`, retrying transient I/O failures with
+    /// bounded backoff (a flaky network disk should not fail a recall that
+    /// a millisecond-later attempt would serve). A `NotFound` on open (the
+    /// file vanished between the existence probe and the open — a
+    /// concurrent quarantine or cleanup) is permanent for this recall and
+    /// never retried.
     ///
     /// Decode failures (corrupt content) are returned for the caller to
     /// classify — corruption is never retried here.
     fn load_checkpoint(&self, path: &Path) -> Result<Checkpoint, HubError> {
-        let mut attempt = 1usize;
+        let mut attempt = 1;
         loop {
-            let result: Result<Checkpoint, AttemptError> = match faults::HUB_DISK_PROBE.check() {
-                Some(Injected::Error) => {
-                    Err(AttemptError::Transient("injected read fault".to_string()))
-                }
+            let transient = match faults::HUB_DISK_PROBE.check() {
+                Some(Injected::Error) => "injected read fault".to_string(),
                 Some(Injected::Corrupt) => {
-                    Checkpoint::from_bytes(b"BLMY\x7f\x7f\x7f\x7finjected-corruption")
-                        .map_err(AttemptError::Decode)
+                    return Checkpoint::from_bytes(b"BLMY\x7f\x7f\x7f\x7finjected-corruption")
+                        .map_err(HubError::from)
                 }
-                None => self.load_checkpoint_once(path),
-            };
-            match result {
-                Ok(ck) => return Ok(ck),
-                Err(AttemptError::Decode(e)) => return Err(e.into()),
-                Err(AttemptError::Vanished(msg)) => {
-                    return Err(HubError::Checkpoint(CheckpointError::Io(msg)))
-                }
-                Err(AttemptError::Transient(_)) if attempt < DISK_READ_ATTEMPTS => {
-                    self.metrics.disk_retries.inc();
-                    std::thread::sleep(DISK_RETRY_BACKOFF * attempt as u32);
-                    attempt += 1;
-                }
-                Err(AttemptError::Transient(msg)) => {
-                    return Err(HubError::Checkpoint(CheckpointError::Io(msg)))
-                }
-            }
-        }
-    }
-
-    /// One load attempt in the configured mode.
-    fn load_checkpoint_once(&self, path: &Path) -> Result<Checkpoint, AttemptError> {
-        match self.recall_mode {
-            RecallMode::Deserialize => match std::fs::read(path) {
-                Ok(bytes) => Checkpoint::from_bytes(&bytes).map_err(AttemptError::Decode),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    Err(AttemptError::Vanished(e.to_string()))
-                }
-                Err(e) => Err(AttemptError::Transient(e.to_string())),
-            },
-            RecallMode::Mmap => match std::fs::File::open(path) {
-                Ok(file) => match Checkpoint::map_file(&file) {
-                    Ok(ck) => Ok(ck),
-                    // `map_file` surfaces OS mapping failures as `Io` —
-                    // transient, same retry budget as a failed read.
-                    Err(CheckpointError::Io(msg)) => Err(AttemptError::Transient(msg)),
-                    Err(e) => Err(AttemptError::Decode(e)),
+                None => match std::fs::File::open(path) {
+                    // `map_file` surfaces OS mapping failures as `Io`:
+                    // transient, retried like a failed open.
+                    Ok(file) => match Checkpoint::map_file(&file) {
+                        Err(CheckpointError::Io(msg)) => msg,
+                        decoded => return decoded.map_err(HubError::from),
+                    },
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                        return Err(HubError::Checkpoint(CheckpointError::Io(e.to_string())))
+                    }
+                    Err(e) => e.to_string(),
                 },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    Err(AttemptError::Vanished(e.to_string()))
-                }
-                Err(e) => Err(AttemptError::Transient(e.to_string())),
-            },
+            };
+            if attempt == DISK_READ_ATTEMPTS {
+                return Err(HubError::Checkpoint(CheckpointError::Io(transient)));
+            }
+            self.metrics.disk_retries.inc();
+            std::thread::sleep(DISK_RETRY_BACKOFF * attempt as u32);
+            attempt += 1;
         }
     }
 
@@ -724,8 +634,8 @@ impl ModelHub {
             Err(e) => return Err(e),
         };
         // Zero-copy: the state takes ownership of the decoded tensors —
-        // mapped views for a mapped v2 checkpoint — instead of copying
-        // them into a fresh model.
+        // views into the mapped file for a v2 or v3 checkpoint — instead
+        // of copying them into a fresh model.
         let mut state = ModelState::from_checkpoint(ck).map_err(|e| match e {
             StateFromCheckpointError::Unfitted => HubError::Unfitted(key.id().to_string()),
             StateFromCheckpointError::Invalid(e) => HubError::Checkpoint(e),
@@ -737,7 +647,7 @@ impl ModelHub {
             .insert(key.id().to_string(), Arc::clone(&state));
         self.metrics.disk_recalls.inc();
         self.metrics
-            .recall_latency(self.recall_mode)
+            .recall_latency
             .record_duration(recall_started.elapsed());
         Ok(DiskProbe::Loaded(state))
     }

@@ -58,7 +58,7 @@ pub use error::BellamyError;
 pub use faults::{ArmedGuard, Failpoint, Fault, FaultPlan};
 pub use features::{context_properties, scale_out_features, ContextProperties, TrainingSample};
 pub use finetune::{FinetuneReport, ReuseStrategy};
-pub use hub::{HubError, HubStats, ModelHub, ModelKey, RecallMode};
+pub use hub::{HubError, HubStats, ModelHub, ModelKey};
 pub use model::{Bellamy, PredictError};
 pub use predictor::{PredictQuery, Predictor};
 pub use search::{search_pretrain, SearchError, SearchReport, SearchSpace};

@@ -52,7 +52,7 @@ use crate::error::BellamyError;
 use crate::faults;
 use crate::features::{ContextProperties, TrainingSample};
 use crate::finetune::ReuseStrategy;
-use crate::hub::{HubStats, ModelHub, ModelKey, RecallMode};
+use crate::hub::{HubStats, ModelHub, ModelKey};
 use crate::model::Bellamy;
 use crate::predictor::{PredictQuery, Predictor};
 use crate::state::ModelState;
@@ -302,7 +302,6 @@ impl ServiceInner {
 pub struct ServiceBuilder {
     hub: Option<Arc<ModelHub>>,
     hub_dir: Option<PathBuf>,
-    recall_mode: Option<RecallMode>,
     finetune: Option<FinetunePolicy>,
 }
 
@@ -322,14 +321,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// How a [`ServiceBuilder::hub_dir`] hub recalls checkpoints from
-    /// disk (mmap by default; see [`RecallMode`]). Ignored when an
-    /// existing hub is supplied via [`ServiceBuilder::hub`].
-    pub fn recall_mode(mut self, mode: RecallMode) -> Self {
-        self.recall_mode = Some(mode);
-        self
-    }
-
     /// Sets the fine-tuning defaults used by [`Service::finetuned_client`].
     pub fn finetune_policy(mut self, policy: FinetunePolicy) -> Self {
         self.finetune = Some(policy);
@@ -341,13 +332,7 @@ impl ServiceBuilder {
     pub fn build(self) -> Result<Service, BellamyError> {
         let hub = match (self.hub, self.hub_dir) {
             (Some(hub), _) => hub,
-            (None, Some(dir)) => {
-                let mut hub = ModelHub::at(dir)?;
-                if let Some(mode) = self.recall_mode {
-                    hub = hub.with_recall_mode(mode);
-                }
-                Arc::new(hub)
-            }
+            (None, Some(dir)) => Arc::new(ModelHub::at(dir)?),
             (None, None) => Arc::new(ModelHub::in_memory()),
         };
         Ok(Service {
@@ -394,7 +379,7 @@ impl Service {
 
     /// A typed point-in-time snapshot of every metric this service can see:
     /// per-model serve metrics (query and panic counts, sampled latency),
-    /// hub recall metrics (per-mode latency, retries, quarantines),
+    /// hub recall metrics (disk-recall latency, retries, quarantines),
     /// process-wide predictor and train metrics, the kernel resolution, and
     /// the recent structured events. Render it with
     /// [`TelemetrySnapshot::to_json`] or [`TelemetrySnapshot::to_prometheus`].

@@ -1,14 +1,16 @@
-//! The zero-copy checkpoint store, end to end: a hub in mmap mode serves
+//! The zero-copy checkpoint store, end to end: a hub's disk recall serves
 //! weights straight out of the page cache (`ModelState::weights_mapped`),
-//! bit-identical to the deserialize mode across every prediction surface
-//! (batch, sweep, the serving client) and under thread-parallel readers
-//! sharing one mapped state; legacy BLMY v1 checkpoints — pinned by a
-//! committed fixture — still recall in both modes.
+//! bit-identical to an owned decode of the same file across every
+//! prediction surface (batch, sweep, the serving client) and under
+//! thread-parallel readers sharing one mapped state; legacy BLMY v1 and v2
+//! checkpoints — pinned by committed fixtures holding the same weights —
+//! still recall, and a file with a lying header is quarantined instead of
+//! taking the process down.
 
 use bellamy_core::train::pretrain;
 use bellamy_core::{
-    Bellamy, BellamyConfig, ContextProperties, ModelHub, ModelKey, PredictQuery, Predictor,
-    PretrainConfig, RecallMode, Service, TrainingSample,
+    Bellamy, BellamyConfig, ContextProperties, HubError, ModelHub, ModelKey, ModelState,
+    PredictQuery, Predictor, PretrainConfig, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use bellamy_nn::Checkpoint;
@@ -56,30 +58,31 @@ fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bellamy-mmap-{tag}-{}", std::process::id()))
 }
 
-fn fixture_path() -> PathBuf {
+/// `pretrained-v1.blmy` (a model trained as `trained_model(23)`, written
+/// by the retired v1 writer) or `pretrained-v2.blmy` (the v1 fixture
+/// decoded and re-encoded by the retired v2 writer, so both hold the same
+/// weights). The library writes only v3, so neither fixture can be
+/// regenerated: the point of each is that checked-in bytes of an older
+/// format keep decoding.
+fn fixture_path(version: u32) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("pretrained-v1.blmy")
+        .join(format!("pretrained-v{version}.blmy"))
 }
 
-/// Regenerates the committed v1 fixture. Ignored by default — run it
-/// explicitly (`cargo test -p bellamy-core --test mmap_store
-/// regenerate_v1_fixture -- --ignored`) only when the fixture must change,
-/// and commit the result; the point of the fixture is that *checked-in
-/// bytes* from before the v2 format keep decoding.
-#[test]
-#[ignore = "writes the committed fixture; run explicitly to regenerate"]
-fn regenerate_v1_fixture() {
-    let (model, _) = trained_model(23);
-    let bytes = model.to_checkpoint().to_bytes_v1();
-    std::fs::create_dir_all(fixture_path().parent().unwrap()).unwrap();
-    std::fs::write(fixture_path(), bytes).unwrap();
+/// A fresh hub directory holding `bytes` as the checkpoint of `key`.
+fn hub_dir_with(tag: &str, key: &ModelKey, bytes: &[u8]) -> PathBuf {
+    let dir = unique_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{}.blmy", key.id())), bytes).unwrap();
+    dir
 }
 
 #[test]
-fn committed_v1_fixture_recalls_in_both_modes() {
-    let bytes = std::fs::read(fixture_path()).expect("committed v1 fixture present");
+fn committed_v1_fixture_recalls() {
+    let bytes = std::fs::read(fixture_path(1)).expect("committed v1 fixture present");
     assert_eq!(&bytes[..4], b"BLMY");
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
@@ -87,10 +90,10 @@ fn committed_v1_fixture_recalls_in_both_modes() {
         "the fixture must stay a version-1 file, or it proves nothing"
     );
 
-    // Decoding the fixture and re-encoding it (the writer now emits v2)
+    // Decoding the fixture and re-encoding it (the writer now emits v3)
     // must not move a single weight.
     let ck = Checkpoint::from_bytes(&bytes).expect("v1 fixture decodes");
-    let reencoded = Checkpoint::from_bytes(&ck.to_bytes()).expect("v2 re-encode decodes");
+    let reencoded = Checkpoint::from_bytes(&ck.to_bytes()).expect("v3 re-encode decodes");
     let a = Bellamy::from_checkpoint(&ck).expect("fixture model");
     let b = Bellamy::from_checkpoint(&reencoded).expect("re-encoded model");
     let probe = corpus(23);
@@ -98,60 +101,119 @@ fn committed_v1_fixture_recalls_in_both_modes() {
         assert_eq!(
             a.predict(s.scale_out, &s.props).unwrap().to_bits(),
             b.predict(s.scale_out, &s.props).unwrap().to_bits(),
-            "v1 -> v2 re-encode must be bit-exact"
+            "v1 -> v3 re-encode must be bit-exact"
         );
     }
 
-    // The hub recalls the fixture in both modes. A v1 file has no aligned
-    // payload sections, so even the mmap-mode hub materializes owned
-    // weights — the mode is a strategy, not a format requirement.
-    for mode in [RecallMode::Deserialize, RecallMode::Mmap] {
-        let dir = unique_dir(&format!("v1-fixture-{}", mode.as_str()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
-        std::fs::copy(fixture_path(), dir.join(format!("{}.blmy", key.id()))).unwrap();
-
-        let hub = ModelHub::at(&dir).unwrap().with_recall_mode(mode);
-        let state = hub.recall(&key).expect("v1 checkpoint must keep recalling");
-        assert!(
-            !state.weights_mapped(),
-            "v1 has no mappable payload sections"
+    // The hub recalls the fixture. A v1 file has no aligned payload
+    // sections, so the recall materializes owned weights.
+    let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
+    let dir = hub_dir_with("v1-fixture", &key, &bytes);
+    let hub = ModelHub::at(&dir).unwrap();
+    let state = hub.recall(&key).expect("v1 checkpoint must keep recalling");
+    assert!(
+        !state.weights_mapped(),
+        "v1 has no mappable payload sections"
+    );
+    for s in probe.iter().take(4) {
+        assert_eq!(
+            state.predict(s.scale_out, &s.props).to_bits(),
+            a.predict(s.scale_out, &s.props).unwrap().to_bits(),
+            "hub recall must match the direct decode"
         );
-        for s in probe.iter().take(4) {
-            assert_eq!(
-                state.predict(s.scale_out, &s.props).to_bits(),
-                a.predict(s.scale_out, &s.props).unwrap().to_bits(),
-                "hub recall ({}) must match the direct decode",
-                mode.as_str()
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn mapped_recall_is_bit_identical_to_deserialize_across_all_surfaces() {
+fn committed_v2_fixture_maps_and_recalls_like_the_v1_fixture() {
+    let bytes = std::fs::read(fixture_path(2)).expect("committed v2 fixture present");
+    assert_eq!(&bytes[..4], b"BLMY");
+    assert_eq!(
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+        2,
+        "the fixture must stay a version-2 file, or it proves nothing"
+    );
+    let v1 = Checkpoint::from_bytes(&std::fs::read(fixture_path(1)).unwrap()).unwrap();
+    let reference = Bellamy::from_checkpoint(&v1).expect("v1 fixture model");
+
+    // Owned decode, then a zero-copy map: the FNV-1a checksums still verify
+    // and the aligned payloads still map in place.
+    let owned = Checkpoint::from_bytes(&bytes).expect("v2 fixture decodes");
+    let mapped = Checkpoint::map(fixture_path(2)).expect("v2 fixture maps");
+    for (_, p) in v1.params.iter() {
+        for ck in [&owned, &mapped] {
+            let q = ck
+                .params
+                .get(ck.params.find(&p.name).expect("same tensors"));
+            assert_eq!(
+                q.value, p.value,
+                "tensor {} must match the v1 fixture",
+                p.name
+            );
+        }
+        let q = mapped.params.get(mapped.params.find(&p.name).unwrap());
+        assert!(
+            q.value.is_mapped(),
+            "v2 tensor {} must map in place",
+            p.name
+        );
+    }
+    assert_eq!(owned.metadata, v1.metadata);
+
+    // The hub recall maps it and predicts exactly what the v1 fixture does.
+    let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
+    let dir = hub_dir_with("v2-fixture", &key, &bytes);
+    let state = ModelHub::at(&dir)
+        .unwrap()
+        .recall(&key)
+        .expect("v2 checkpoint must keep recalling");
+    assert!(state.weights_mapped(), "a v2 recall must borrow the file");
+    for s in &corpus(23) {
+        assert_eq!(
+            state.predict(s.scale_out, &s.props).to_bits(),
+            reference.predict(s.scale_out, &s.props).unwrap().to_bits(),
+            "the v2 fixture must predict bit-identically to the v1 fixture"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_lying_section_count_is_quarantined_not_fatal() {
+    // `n_params` is read before any checksum can vouch for it; a file that
+    // claims 2^32 - 1 tensors must fail its recall as corruption (and be
+    // quarantined), not reserve memory for them.
+    let (model, _) = trained_model(29);
+    let mut bytes = model.to_checkpoint().to_bytes();
+    bytes[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+    let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
+    let dir = hub_dir_with("lying-count", &key, &bytes);
+    let hub = ModelHub::at(&dir).unwrap();
+    match hub.recall(&key) {
+        Err(HubError::Corrupt { source, .. }) => assert!(source.is_corruption()),
+        other => panic!("expected a quarantined corrupt checkpoint, got {other:?}"),
+    }
+    assert_eq!(hub.stats().quarantined, 1);
+    assert!(dir.join(format!("{}.blmy.corrupt", key.id())).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mapped_recall_is_bit_identical_to_an_owned_decode_across_all_surfaces() {
     let (model, samples) = trained_model(31);
     let dir = unique_dir("parity");
     let _ = std::fs::remove_dir_all(&dir);
     let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
     ModelHub::at(&dir).unwrap().publish(&key, &model).unwrap();
 
-    let owned = ModelHub::at(&dir)
-        .unwrap()
-        .with_recall_mode(RecallMode::Deserialize)
-        .recall(&key)
-        .unwrap();
-    let mapped = ModelHub::at(&dir)
-        .unwrap()
-        .with_recall_mode(RecallMode::Mmap)
-        .recall(&key)
-        .unwrap();
+    let path = dir.join(format!("{}.blmy", key.id()));
+    let owned = Arc::new(ModelState::from_checkpoint(Checkpoint::load(&path).unwrap()).unwrap());
+    let mapped = ModelHub::at(&dir).unwrap().recall(&key).unwrap();
     assert!(!owned.weights_mapped());
     assert!(
         mapped.weights_mapped(),
-        "an mmap-mode recall of a v2 checkpoint must borrow the file"
+        "a disk recall of a v3 checkpoint must borrow the file"
     );
     assert_eq!(owned.params_fingerprint(), mapped.params_fingerprint());
 
@@ -211,9 +273,7 @@ fn eight_threads_share_one_mapped_state_bit_identically() {
     let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
     ModelHub::at(&dir).unwrap().publish(&key, &model).unwrap();
 
-    let hub = ModelHub::at(&dir)
-        .unwrap()
-        .with_recall_mode(RecallMode::Mmap);
+    let hub = ModelHub::at(&dir).unwrap();
     let state = hub.recall(&key).unwrap();
     assert!(state.weights_mapped());
 

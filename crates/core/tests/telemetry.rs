@@ -150,7 +150,7 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
     assert!(info.label_value("source").is_some());
 
     // Second service on the same directory: a restart recalls from disk,
-    // which must show up in the per-mode recall latency histogram.
+    // which must show up in the recall latency histogram.
     let restarted = Service::builder()
         .hub_dir(&dir)
         .build()
@@ -159,10 +159,9 @@ fn snapshot_exposes_serve_hub_train_and_kernel_metrics() {
     let snap2 = restarted.telemetry();
     assert_eq!(snap2.counter("bellamy_hub_disk_recalls_total"), Some(1));
     assert_eq!(snap2.counter("bellamy_hub_pretrains_total"), Some(0));
-    let mode = restarted.hub().recall_mode().as_str();
     let recall = snap2
-        .histogram_with("bellamy_hub_recall_latency_seconds", "mode", mode)
-        .expect("per-mode recall latency histogram");
+        .histogram("bellamy_hub_recall_latency_seconds")
+        .expect("recall latency histogram");
     assert_eq!(recall.count(), 1, "one disk recall, one latency sample");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -201,7 +200,7 @@ fn snapshot_renders_json_and_prometheus() {
         "# TYPE bellamy_serve_submit_latency_seconds histogram",
         "le=\"+Inf\"",
         "bellamy_serve_submit_latency_seconds_count",
-        "bellamy_hub_recall_latency_seconds_bucket{mode=\"deserialize\"",
+        "bellamy_hub_recall_latency_seconds_bucket{le=",
         "bellamy_kernel_info{",
     ] {
         assert!(prom.contains(needle), "Prometheus text missing {needle}");

@@ -25,7 +25,7 @@ use bellamy_core::finetune::fine_tune;
 use bellamy_core::train::Pretrainer;
 use bellamy_core::{
     Bellamy, BellamyConfig, ContextProperties, FinetuneConfig, ModelHub, ModelKey, ModelState,
-    PredictQuery, Predictor, PretrainConfig, RecallMode, ReuseStrategy, Service, TrainingSample,
+    PredictQuery, Predictor, PretrainConfig, ReuseStrategy, Service, TrainingSample,
 };
 use bellamy_encoding::PropertyValue;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -335,9 +335,7 @@ fn steady_state_predict_on_a_mapped_state_is_allocation_free() {
     let _ = std::fs::remove_dir_all(&dir);
     let key = ModelKey::new("grep", "runtime", &BellamyConfig::default());
     ModelHub::at(&dir).unwrap().publish(&key, &model).unwrap();
-    let hub = ModelHub::at(&dir)
-        .unwrap()
-        .with_recall_mode(RecallMode::Mmap);
+    let hub = ModelHub::at(&dir).unwrap();
     let state = hub.recall(&key).unwrap();
     assert!(state.weights_mapped(), "the recall must borrow the file");
 

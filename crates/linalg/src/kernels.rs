@@ -114,21 +114,27 @@ impl KernelTable {
     /// `out = a · b` (`a: m×k`, `b: k×n`, `out: m×n`, all row-major).
     #[inline]
     pub fn matmul(&self, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-        debug_assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n);
+        check_shape(a.len(), m, k);
+        check_shape(b.len(), k, n);
+        check_shape(out.len(), m, n);
         (self.matmul)(a, b, out, m, k, n);
     }
 
     /// `out = a · bᵀ` (`a: m×k`, `b: n×k`, `out: m×n`).
     #[inline]
     pub fn matmul_tb(&self, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-        debug_assert!(a.len() == m * k && b.len() == n * k && out.len() == m * n);
+        check_shape(a.len(), m, k);
+        check_shape(b.len(), n, k);
+        check_shape(out.len(), m, n);
         (self.matmul_tb)(a, b, out, m, k, n);
     }
 
     /// `out = aᵀ · b` (`a: k×m`, `b: k×n`, `out: m×n`).
     #[inline]
     pub fn ta_matmul(&self, a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize, n: usize) {
-        debug_assert!(a.len() == k * m && b.len() == k * n && out.len() == m * n);
+        check_shape(a.len(), k, m);
+        check_shape(b.len(), k, n);
+        check_shape(out.len(), m, n);
         (self.ta_matmul)(a, b, out, k, m, n);
     }
 
@@ -148,8 +154,12 @@ impl KernelTable {
         n: usize,
         row_finish: &mut dyn FnMut(&mut [f64]),
     ) {
-        debug_assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n);
-        debug_assert!(bias.is_none_or(|bv| bv.len() == n));
+        check_shape(a.len(), m, k);
+        check_shape(b.len(), k, n);
+        check_shape(out.len(), m, n);
+        if let Some(bias) = bias {
+            check_shape(bias.len(), 1, n);
+        }
         (self.matmul_bias_rowapply)(a, b, bias, out, m, k, n, row_finish);
     }
 
@@ -157,37 +167,62 @@ impl KernelTable {
     /// (bit-compatible with a plain add).
     #[inline]
     pub fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), y.len());
+        check_same_len(x.len(), y.len(), y.len());
         (self.axpy)(alpha, x, y);
     }
 
     /// `out[i] = a[i] + b[i]`.
     #[inline]
     pub fn add(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert!(a.len() == b.len() && a.len() == out.len());
+        check_same_len(a.len(), b.len(), out.len());
         (self.add)(a, b, out);
     }
 
     /// `out[i] = a[i] - b[i]`.
     #[inline]
     pub fn sub(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert!(a.len() == b.len() && a.len() == out.len());
+        check_same_len(a.len(), b.len(), out.len());
         (self.sub)(a, b, out);
     }
 
     /// `out[i] = a[i] * b[i]` (Hadamard).
     #[inline]
     pub fn mul(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert!(a.len() == b.len() && a.len() == out.len());
+        check_same_len(a.len(), b.len(), out.len());
         (self.mul)(a, b, out);
     }
 
     /// `out[i] = a[i] * alpha`.
     #[inline]
     pub fn scale(&self, a: &[f64], alpha: f64, out: &mut [f64]) {
-        debug_assert_eq!(a.len(), out.len());
+        check_same_len(a.len(), out.len(), out.len());
         (self.scale)(a, alpha, out);
     }
+}
+
+/// Panics unless an operand of `len` elements is `rows × cols`. The
+/// product is checked, so a shape whose product wraps matches no length.
+/// The AVX2 kernels address their operands through raw pointers derived
+/// from the shape, so this check, in every build, is what keeps a safe
+/// call with a wrong shape from reading or writing out of bounds.
+#[inline]
+#[track_caller]
+fn check_shape(len: usize, rows: usize, cols: usize) {
+    assert!(
+        rows.checked_mul(cols) == Some(len),
+        "kernel operand of length {len} is not {rows}x{cols}"
+    );
+}
+
+/// Panics unless three elementwise operands have one length (the AVX2
+/// kernels walk all three by the first one's length).
+#[inline]
+#[track_caller]
+fn check_same_len(a: usize, b: usize, out: usize) {
+    assert!(
+        a == b && b == out,
+        "kernel operand lengths differ: {a}, {b}, {out}"
+    );
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -603,9 +638,9 @@ mod scalar {
 /// 2. *Each slice is as long as its shape says* (`a: m×k`, `b: k×n`,
 ///    `out: m×n`, or equal lengths for the elementwise kernels). The bodies
 ///    form raw pointers from the dimension arguments. The [`KernelTable`]
-///    entry points document these lengths but check them only with
-///    `debug_assert!`; [`Matrix`](crate::Matrix), the caller outside tests
-///    and benchmarks, asserts the shapes before every call.
+///    entry points, the only way to reach these wrappers, `assert!` every
+///    length against its shape with checked products, in release builds
+///    too (`entry_points_reject_mismatched_lengths` drives each one).
 ///
 /// See the module docs for the bit-identity argument (no FMA, scalar
 /// accumulation order preserved).
@@ -1187,6 +1222,113 @@ mod tests {
         // `resolve`'s unknown-value branch: one warning, then `auto`.
         for value in ["simd", "fma", "", "avx2"] {
             assert_eq!(TierRequest::parse(value), None, "{value:?}");
+        }
+    }
+
+    /// Runs `call` and returns its panic message, or `None` if it returned.
+    fn panic_message(call: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).err()?;
+        Some(
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        )
+    }
+
+    fn boxed(call: impl FnOnce() + 'static) -> Box<dyn FnOnce()> {
+        Box::new(call)
+    }
+
+    #[test]
+    fn entry_points_reject_mismatched_lengths() {
+        // Each call passes one operand a length off, or a shape whose
+        // product wraps to the operand's length (2^32 · 2^32 = 2^64 ≡ 0).
+        // The panic must come from the entry point's own check, before any
+        // kernel body runs. With 2×2×2 shapes every operand of all three
+        // matmul variants holds 4 values.
+        type Matmul = fn(&KernelTable, &[f64], &[f64], &mut [f64], usize, usize, usize);
+        type Binary = fn(&KernelTable, &[f64], &[f64], &mut [f64]);
+        let matmuls: [(&str, Matmul); 3] = [
+            ("matmul", KernelTable::matmul),
+            ("matmul_tb", KernelTable::matmul_tb),
+            ("ta_matmul", KernelTable::ta_matmul),
+        ];
+        let binaries: [(&str, Binary); 3] = [
+            ("add", KernelTable::add),
+            ("sub", KernelTable::sub),
+            ("mul", KernelTable::mul),
+        ];
+        let (x, short, wrap): ([f64; 4], &[f64], usize) = ([1.0; 4], &[1.0; 3], 1 << 32);
+        for table in [Some(scalar()), simd()].into_iter().flatten() {
+            let mut cases: Vec<(String, Box<dyn FnOnce()>)> = Vec::new();
+            for (name, f) in matmuls {
+                cases.extend([
+                    (
+                        format!("{name} a"),
+                        boxed(move || f(table, short, &x, &mut [0.0; 4], 2, 2, 2)),
+                    ),
+                    (
+                        format!("{name} b"),
+                        boxed(move || f(table, &x, short, &mut [0.0; 4], 2, 2, 2)),
+                    ),
+                    (
+                        format!("{name} out"),
+                        boxed(move || f(table, &x, &x, &mut [0.0; 3], 2, 2, 2)),
+                    ),
+                    (
+                        format!("{name} wrapped"),
+                        boxed(move || f(table, &[], &[], &mut [], wrap, wrap, 0)),
+                    ),
+                ]);
+            }
+            let rowapply = move |a: &[f64], bias: Option<&[f64]>, out: &mut [f64], m, k, n| {
+                table.matmul_bias_rowapply(a, &x, bias, out, m, k, n, &mut |_| {})
+            };
+            cases.extend([
+                (
+                    "matmul_bias_rowapply a".to_string(),
+                    boxed(move || rowapply(short, None, &mut [0.0; 4], 2, 2, 2)),
+                ),
+                (
+                    "matmul_bias_rowapply bias".to_string(),
+                    boxed(move || rowapply(&x, Some(&[1.0]), &mut [0.0; 4], 2, 2, 2)),
+                ),
+                (
+                    "matmul_bias_rowapply wrapped".to_string(),
+                    boxed(move || rowapply(&[], None, &mut [0.0; 4], wrap, wrap, 2)),
+                ),
+                (
+                    "axpy".to_string(),
+                    boxed(move || table.axpy(2.0, short, &mut [0.0; 4])),
+                ),
+                (
+                    "scale".to_string(),
+                    boxed(move || table.scale(&x, 2.0, &mut [0.0; 3])),
+                ),
+            ]);
+            for (name, f) in binaries {
+                cases.extend([
+                    (
+                        format!("{name} b"),
+                        boxed(move || f(table, &x, short, &mut [0.0; 4])),
+                    ),
+                    (
+                        format!("{name} out"),
+                        boxed(move || f(table, &x, &x, &mut [0.0; 3])),
+                    ),
+                ]);
+            }
+            for (case, call) in cases {
+                let backend = table.backend().name();
+                let msg =
+                    panic_message(call).unwrap_or_else(|| panic!("{backend} {case}: no panic"));
+                assert!(
+                    msg.starts_with("kernel operand"),
+                    "{backend} {case}: panicked elsewhere: {msg}"
+                );
+            }
         }
     }
 

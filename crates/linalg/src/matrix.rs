@@ -97,15 +97,18 @@ impl Matrix {
     /// access panics, and `clone()` materializes an owned copy.
     ///
     /// # Errors
-    /// Returns a message when the window falls outside the map or the data
-    /// pointer would be misaligned for `f64`.
+    /// Returns a message when `rows * cols` overflows, the window falls
+    /// outside the map or the data pointer would be misaligned for `f64`.
     pub fn from_mapped(
         rows: usize,
         cols: usize,
         map: Arc<Mmap>,
         byte_offset: usize,
     ) -> Result<Self, String> {
-        let data = Storage::mapped(map, byte_offset, rows * cols)?;
+        let len = rows
+            .checked_mul(cols)
+            .ok_or_else(|| format!("mapped shape {rows}x{cols} overflows"))?;
+        let data = Storage::mapped(map, byte_offset, len)?;
         Ok(Self { rows, cols, data })
     }
 
@@ -1119,6 +1122,9 @@ mod tests {
         }
         f.sync_all().unwrap();
         let map = Arc::new(Mmap::map(&std::fs::File::open(&path).unwrap()).unwrap());
+        // A shape whose element count wraps to 0 must not pass as an empty
+        // window.
+        assert!(Matrix::from_mapped(1 << 32, 1 << 32, Arc::clone(&map), 0).is_err());
         let mapped = Matrix::from_mapped(6, 8, map, 0).unwrap();
 
         assert!(mapped.is_mapped());

@@ -39,7 +39,7 @@
 //! | `bellamy_hub_finetunes_total` | counter | trainings | core/hub |
 //! | `bellamy_hub_disk_retries_total` | counter | retries | core/hub |
 //! | `bellamy_hub_quarantined_total` | counter | checkpoints | core/hub |
-//! | `bellamy_hub_recall_latency_seconds{mode}` | histogram | seconds | core/hub (`mode` ∈ deserialize, mmap) |
+//! | `bellamy_hub_recall_latency_seconds` | histogram | seconds | core/hub (successful disk recalls: map, verify, state build) |
 //! | `bellamy_predict_batch_rows` | histogram | rows | core/predictor (forward-pass batch sizes) |
 //! | `bellamy_predict_queries_total` | counter | rows | core/predictor |
 //! | `bellamy_train_steps_total` | counter | steps | core/train |
