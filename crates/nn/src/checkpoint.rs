@@ -102,8 +102,9 @@ const FIXED_HEADER: usize = 40;
 /// Byte offset of the checksummed header region (everything after the
 /// checksum fields themselves).
 const CHECKSUMMED_FROM: usize = 32;
-/// Smallest section-table entry: an empty name's length prefix, the
-/// trainable flag, rows, cols and offset.
+/// A section-table entry's size without its name bytes (the smallest
+/// entry): the name's length prefix, the trainable flag, rows, cols and
+/// offset.
 const MIN_SECTION_ENTRY: usize = 4 + 1 + 24;
 
 /// A checksum over one region of an aligned blob.
@@ -322,7 +323,7 @@ impl Checkpoint {
         let table_size: usize = self
             .params
             .iter()
-            .map(|(_, p)| 4 + p.name.len() + 1 + 24)
+            .map(|(_, p)| MIN_SECTION_ENTRY + p.name.len())
             .sum();
         let header_end = FIXED_HEADER + meta_size + table_size;
         let payload_start = align64(header_end);
@@ -635,7 +636,7 @@ mod tests {
     use crate::init::Init;
     use bytes::BufMut;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn sample_checkpoint() -> Checkpoint {
         let mut rng = StdRng::seed_from_u64(11);
@@ -705,38 +706,45 @@ mod tests {
         }
     }
 
-    /// Walks an aligned blob's header: the byte position of each section
-    /// entry's `rows` field (`cols` and `payload_offset` follow it), and
-    /// the header's end.
-    fn walk_header(bytes: &[u8]) -> (Vec<usize>, usize) {
+    /// Walks an aligned blob's header as the parser does: the byte
+    /// position of each section entry's `rows` field (`cols` and
+    /// `payload_offset` follow it), and the header's end. `None` when the
+    /// walk runs off the end or meets invalid UTF-8.
+    fn walk_header(bytes: &[u8]) -> Option<(Vec<usize>, usize)> {
         let n_meta = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
         let n_params = u32::from_le_bytes(bytes[36..40].try_into().unwrap());
         let mut rest = &bytes[FIXED_HEADER..];
-        for _ in 0..2 * n_meta {
-            read_string(&mut rest).unwrap();
+        for _ in 0..2 * u64::from(n_meta) {
+            read_string(&mut rest).ok()?;
         }
         let mut entries = Vec::new();
         for _ in 0..n_params {
-            read_string(&mut rest).unwrap();
+            read_string(&mut rest).ok()?;
             entries.push(bytes.len() - rest.len() + 1);
-            rest = &rest[1 + 24..];
+            rest = rest.get(1 + 24..)?;
         }
-        (entries, bytes.len() - rest.len())
+        Some((entries, bytes.len() - rest.len()))
     }
 
     /// Stamps `version` (2 or 3) into an aligned blob and recomputes both
     /// checksums with that version's hash. Re-stamping a v3 buffer as v2
     /// gives exactly what the retired v2 writer produced; re-sealing an
     /// edited header makes a structural lie pass the checksums, so the
-    /// structural checks behind them are what must catch it.
+    /// structural checks behind them are what must catch it. A header
+    /// that cannot be walked, or whose payloads would start past the end,
+    /// fails the parser before the checksum it would need, so that one is
+    /// left as it is.
     fn seal(mut bytes: Vec<u8>, version: u32) -> Vec<u8> {
         let hash: Checksum = if version == VERSION_V2 { fnv1a } else { xxh64 };
-        let (_, header_end) = walk_header(&bytes);
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
-        let payload = hash(&bytes[align64(header_end)..]);
+        let Some((_, header_end)) = walk_header(&bytes) else {
+            return bytes;
+        };
         let header = hash(&bytes[CHECKSUMMED_FROM..header_end]);
-        bytes[16..24].copy_from_slice(&payload.to_le_bytes());
         bytes[24..32].copy_from_slice(&header.to_le_bytes());
+        if let Some(payload) = bytes.get(align64(header_end)..).map(hash) {
+            bytes[16..24].copy_from_slice(&payload.to_le_bytes());
+        }
         bytes
     }
 
@@ -809,7 +817,7 @@ mod tests {
         let n_params = u32::from_le_bytes(bytes[36..40].try_into().unwrap());
         assert_eq!(n_params, 3);
         // Walk the section table and check every stored offset.
-        let (entries, _) = walk_header(&bytes);
+        let (entries, _) = walk_header(&bytes).unwrap();
         assert_eq!(entries.len(), 3);
         for at in entries {
             let offset = u64::from_le_bytes(bytes[at + 16..at + 24].try_into().unwrap());
@@ -922,7 +930,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_of_a_v3_file_is_rejected() {
         let bytes = tiny_checkpoint().to_bytes();
-        let (entries, header_end) = walk_header(&bytes);
+        let (entries, header_end) = walk_header(&bytes).unwrap();
         // The file must hold both kinds of padding, or the sweep below
         // would not cover them.
         assert!(align64(header_end) > header_end, "no header padding");
@@ -950,7 +958,7 @@ mod tests {
     fn aligned_decoders_are_total_on_lying_structure() {
         for version in [VERSION_V2, VERSION_V3] {
             let good = seal(tiny_checkpoint().to_bytes(), version);
-            let (entries, header_end) = walk_header(&good);
+            let (entries, header_end) = walk_header(&good).unwrap();
             let (first, second) = (entries[0], entries[1]);
             let len = good.len() as u64;
             let edit = |reseal: bool, f: &dyn Fn(&mut Vec<u8>)| {
@@ -1034,6 +1042,71 @@ mod tests {
             ];
             for (case, bytes) in cases {
                 assert_rejected(&bytes, &format!("v{version} {case}"));
+            }
+        }
+    }
+
+    #[test]
+    fn resealed_random_header_edits_are_rejected_or_decode_alike() {
+        // Random header bytes and random rows, cols and offsets, re-sealed
+        // so that only the structural checks stand between them and a
+        // tensor. Whatever the combination, both decoders must reject it
+        // as corruption or build the same tensors, and no two mapped
+        // tensors may share a byte.
+        let mut rng = StdRng::seed_from_u64(20);
+        for version in [VERSION_V2, VERSION_V3] {
+            let good = seal(tiny_checkpoint().to_bytes(), version);
+            let (entries, header_end) = walk_header(&good).unwrap();
+            let len = good.len() as u64;
+            for case in 0..300 {
+                let mut bytes = good.clone();
+                for _ in 0..rng.random_range(1..=3) {
+                    if rng.random_bool(0.5) {
+                        bytes[rng.random_range(CHECKSUMMED_FROM..header_end)] = rng.random();
+                        continue;
+                    }
+                    let at = entries[rng.random_range(0..entries.len())]
+                        + 8 * rng.random_range(0..3usize);
+                    let value = match rng.random_range(0..4) {
+                        0 => rng.random_range(0..8),
+                        1 => 64 * rng.random_range(0..=len / 64),
+                        2 => 1 << rng.random_range(0..64u32),
+                        _ => rng.random(),
+                    };
+                    put_u64_at(&mut bytes, at, value);
+                }
+                let bytes = seal(bytes, version);
+                let path = std::env::temp_dir().join(format!(
+                    "bellamy-ckpt-reseal-{}-v{version}-{case}.blmy",
+                    std::process::id()
+                ));
+                let case = format!("v{version} case {case}");
+                std::fs::write(&path, &bytes).unwrap();
+                match (Checkpoint::from_bytes(&bytes), Checkpoint::map(&path)) {
+                    (Ok(owned), Ok(mapped)) => {
+                        assert_checkpoints_equal(&owned, &mapped);
+                        let mut windows: Vec<(usize, usize)> = mapped
+                            .params
+                            .iter()
+                            .map(|(_, p)| p.value.as_slice())
+                            .filter(|v| !v.is_empty())
+                            .map(|v| (v.as_ptr() as usize, v.as_ptr() as usize + v.len() * 8))
+                            .collect();
+                        windows.sort_unstable();
+                        assert!(
+                            windows.windows(2).all(|w| w[0].1 <= w[1].0),
+                            "{case}: mapped tensors overlap"
+                        );
+                    }
+                    (Err(a), Err(b)) => {
+                        assert!(
+                            a.is_corruption() && b.is_corruption(),
+                            "{case}: {a:?}, {b:?}"
+                        )
+                    }
+                    (a, b) => panic!("{case}: the decoders disagree: {a:?} vs {b:?}"),
+                }
+                std::fs::remove_file(&path).ok();
             }
         }
     }
